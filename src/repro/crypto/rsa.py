@@ -7,21 +7,97 @@ message signatures.  Keys are generated deterministically from a
 
 Padding follows PKCS#1 v1.5 in structure (EMSA for signatures, EME type
 2 for encryption) over SHA-256 digests.  Key sizes in tests/simulations
-default to 1024 bits — generation is seconds-fast in pure Python and the
-security level is irrelevant to the reproduction.
+default to 1024 bits; the security level is irrelevant to the
+reproduction.
+
+Every modular exponentiation (Miller–Rabin witnesses, the CRT halves of
+the private operation, the public operation) goes through one kernel,
+``_modexp``.  It is OpenSSL's ``BN_mod_exp`` called through
+:mod:`ctypes` from the ``libcrypto`` that CPython's ``hashlib`` links
+against, roughly 10x faster than builtin ``pow`` at 512 bits.  When that
+library or one of its symbols cannot be loaded, the kernel is builtin
+``pow``; :data:`MODEXP_BACKEND` names the active one.  Modular
+exponentiation is a mathematical function, so the backend changes only
+how fast keys are made: every prime, key, signature and DRBG draw is
+bit-identical either way.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
-from dataclasses import dataclass
-from typing import Tuple
+from dataclasses import dataclass, field
 
 from repro.crypto.drbg import Drbg
 
 
 class CryptoError(Exception):
     """Signature verification failure, malformed padding, etc."""
+
+
+# -- modular exponentiation kernel ------------------------------------------
+
+
+def _load_native_modexp():
+    """A ``BN_mod_exp``-backed ``(base, exp, mod) -> int``, or None.
+
+    The symbols are resolved through the ``_hashlib`` extension, so they
+    come from the ``libcrypto`` it is already linked against; no library
+    search runs.  None when that module, its library or one of the
+    symbols used is unavailable.  Every call allocates and frees its own
+    BIGNUMs and ``BN_CTX``, so nothing is shared between threads and
+    nothing outlives the call.
+    """
+    bn = ctypes.c_void_p
+    try:
+        import _hashlib
+
+        lib = ctypes.CDLL(_hashlib.__file__)
+        bn_new, bn_free = lib.BN_new, lib.BN_free
+        ctx_new, ctx_free = lib.BN_CTX_new, lib.BN_CTX_free
+        bin2bn, bn2binpad = lib.BN_bin2bn, lib.BN_bn2binpad
+        mod_exp = lib.BN_mod_exp
+    except (ImportError, OSError, AttributeError):
+        return None
+    bn_new.restype, bn_new.argtypes = bn, []
+    bn_free.restype, bn_free.argtypes = None, [bn]
+    ctx_new.restype, ctx_new.argtypes = bn, []
+    ctx_free.restype, ctx_free.argtypes = None, [bn]
+    bin2bn.restype, bin2bn.argtypes = bn, [ctypes.c_char_p, ctypes.c_int, bn]
+    bn2binpad.restype, bn2binpad.argtypes = ctypes.c_int, [bn, ctypes.c_char_p, ctypes.c_int]
+    mod_exp.restype, mod_exp.argtypes = ctypes.c_int, [bn, bn, bn, bn, bn]
+
+    def modexp(base: int, exp: int, mod: int) -> int:
+        if exp < 0:
+            raise ValueError("negative exponent: use pow(x, -1, m) for inverses")
+        if mod < 1:
+            raise ValueError("modulus must be positive")
+        k = (mod.bit_length() + 7) // 8
+        ek = (exp.bit_length() + 7) // 8
+        ctx = ctx_new()
+        r = bn_new()
+        a = bin2bn((base % mod).to_bytes(k, "big"), k, None)
+        e = bin2bn(exp.to_bytes(ek, "big"), ek, None)
+        m = bin2bn(mod.to_bytes(k, "big"), k, None)
+        try:
+            if None in (ctx, r, a, e, m) or not mod_exp(r, a, e, m, ctx):
+                raise CryptoError("BN_mod_exp failed")
+            out = ctypes.create_string_buffer(k)
+            if bn2binpad(r, out, k) != k:
+                raise CryptoError("BN_bn2binpad failed")
+            return int.from_bytes(out.raw, "big")
+        finally:
+            for b in (r, a, e, m):
+                bn_free(b)
+            ctx_free(ctx)
+
+    return modexp
+
+
+#: The modexp kernel behind every RSA operation in this module.
+_modexp = _load_native_modexp() or pow
+#: Which kernel is active: ``"libcrypto"`` or ``"builtin-pow"``.
+MODEXP_BACKEND = "builtin-pow" if _modexp is pow else "libcrypto"
 
 
 # -- primality ------------------------------------------------------------
@@ -46,7 +122,7 @@ def is_probable_prime(n: int, rng: Drbg, rounds: int = 24) -> bool:
         r += 1
     for _ in range(rounds):
         a = rng.randrange(2, n - 1)
-        x = pow(a, d, n)
+        x = _modexp(a, d, n)
         if x in (1, n - 1):
             continue
         for _ in range(r - 1):
@@ -69,18 +145,11 @@ def generate_prime(bits: int, rng: Drbg) -> int:
             return candidate
 
 
-def _egcd(a: int, b: int) -> Tuple[int, int, int]:
-    if b == 0:
-        return a, 1, 0
-    g, x, y = _egcd(b, a % b)
-    return g, y, x - (a // b) * y
-
-
 def _modinv(a: int, m: int) -> int:
-    g, x, _ = _egcd(a % m, m)
-    if g != 1:
-        raise CryptoError("no modular inverse")
-    return x % m
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        raise CryptoError("no modular inverse") from None
 
 
 # -- keys ----------------------------------------------------------------
@@ -127,7 +196,7 @@ class RsaPublicKey:
         s = int.from_bytes(signature, "big")
         if s >= self.n:
             return False
-        m = pow(s, self.e, self.n)
+        m = _modexp(s, self.e, self.n)
         return m.to_bytes(self.size_bytes, "big") == expected
 
     def encrypt(self, plaintext: bytes, rng: Drbg) -> bytes:
@@ -141,7 +210,7 @@ class RsaPublicKey:
                 ps += b
         em = b"\x00\x02" + bytes(ps) + b"\x00" + plaintext
         m = int.from_bytes(em, "big")
-        return pow(m, self.e, self.n).to_bytes(k, "big")
+        return _modexp(m, self.e, self.n).to_bytes(k, "big")
 
 
 @dataclass(frozen=True)
@@ -150,6 +219,15 @@ class RsaKeyPair:
     d: int
     p: int
     q: int
+    # CRT parameters, derived once per key; not part of its identity.
+    dp: int = field(init=False, repr=False, compare=False)
+    dq: int = field(init=False, repr=False, compare=False)
+    qinv: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "dp", self.d % (self.p - 1))
+        object.__setattr__(self, "dq", self.d % (self.q - 1))
+        object.__setattr__(self, "qinv", _modinv(self.q, self.p))
 
     # -- private operations ------------------------------------------------
 
@@ -179,14 +257,10 @@ class RsaKeyPair:
 
     def _private_op(self, m: int) -> int:
         # CRT speedup: ~4x over plain pow(m, d, n).
-        n = self.public.n
-        dp = self.d % (self.p - 1)
-        dq = self.d % (self.q - 1)
-        qinv = _modinv(self.q, self.p)
-        m1 = pow(m % self.p, dp, self.p)
-        m2 = pow(m % self.q, dq, self.q)
-        h = (qinv * (m1 - m2)) % self.p
-        return (m2 + h * self.q) % n
+        m1 = _modexp(m, self.dp, self.p)
+        m2 = _modexp(m, self.dq, self.q)
+        h = (self.qinv * (m1 - m2)) % self.p
+        return (m2 + h * self.q) % self.public.n
 
 
 # -- EMSA-PKCS1-v1_5-style signature encoding over SHA-256 -----------------

@@ -1,11 +1,16 @@
 """RSA, DRBG, hybrid encryption, cipher suites."""
 
+import ctypes.util
+import hashlib
+import sys
+import types
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto import Drbg, CryptoError, generate_keypair
+from repro.crypto import Drbg, CryptoError, generate_keypair, rsa
 from repro.crypto.hybrid import open_sealed, seal
-from repro.crypto.rsa import RsaPublicKey, generate_prime, is_probable_prime
+from repro.crypto.rsa import RsaKeyPair, RsaPublicKey, generate_prime, is_probable_prime
 from repro.crypto.suites import (
     SUITE_AES_SHA,
     SUITE_NULL_SHA,
@@ -111,6 +116,112 @@ def test_keygen_deterministic_from_seed():
 def test_keygen_rejects_tiny_modulus():
     with pytest.raises(CryptoError):
         generate_keypair(128, Drbg("tiny"))
+
+
+# SHA-256 of "n:d:p:q" (lower-case hex) and the next 16 DRBG bytes after
+# generation, captured with the pure-Python ``pow`` implementation.  A
+# change to key values or to how much entropy keygen consumes fails here.
+KEYGEN_KAT = {
+    512: ("bcd01e72d586978487cee40c7aeb90e7e48ff2eb080c26106e0b98cc122fefa1",
+          "36a3d7073553dab1c5d0d566ea1e08b6"),
+    768: ("11b8b6f4c07c72b5a01155f9f35e9769f08a8d08fc6f153f1c953878b1189538",
+          "d2ac143d5bf96e9fb7f81443a0995cad"),
+    1024: ("e9625285ece4b39c59bb4ae1d7b1add3dfab5988efea894228e62e52fcaf783c",
+           "682c69948ada0617c8f5558f0fc1a741"),
+}
+
+
+@pytest.mark.parametrize("bits", sorted(KEYGEN_KAT))
+def test_keygen_known_answer(bits):
+    rng = Drbg(f"rsa-kat-{bits}")
+    k = generate_keypair(bits, rng)
+    digest = hashlib.sha256(f"{k.public.n:x}:{k.d:x}:{k.p:x}:{k.q:x}".encode()).hexdigest()
+    assert (digest, rng.randbytes(16).hex()) == KEYGEN_KAT[bits]
+
+
+def test_crt_parameters_are_derived_not_identity():
+    k = KEYS
+    assert (k.dp, k.dq) == (k.d % (k.p - 1), k.d % (k.q - 1))
+    assert (k.qinv * k.q) % k.p == 1
+    rebuilt = RsaKeyPair(k.public, k.d, k.p, k.q)
+    assert rebuilt == k and hash(rebuilt) == hash(k)
+    assert "qinv" not in repr(k) and "dp=" not in repr(k)
+
+
+def test_modinv_without_inverse_is_crypto_error():
+    assert rsa._modinv(3, 7) == 5
+    with pytest.raises(CryptoError):
+        rsa._modinv(6, 9)
+
+
+# -- modexp kernel ----------------------------------------------------------------
+
+
+def _operand(min_value):
+    return st.integers(1, 2048).flatmap(lambda b: st.integers(min_value, (1 << b) - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=_operand(0), exp=_operand(0), mod=_operand(1))
+def test_modexp_matches_pow(base, exp, mod):
+    assert rsa._modexp(base, exp, mod) == pow(base, exp, mod)
+
+
+@pytest.mark.parametrize("base, exp, mod", [
+    pytest.param(0, 0, 1, id="mod1-zero"),
+    pytest.param(5, 0, 1, id="mod1-exp0"),
+    pytest.param(5, 3, 1, id="mod1"),
+    pytest.param(0, 0, 7, id="exp0-base0"),
+    pytest.param(9, 0, 7, id="exp0-odd-mod"),
+    pytest.param(9, 0, 6, id="exp0-even-mod"),
+    pytest.param(10**40, 3, 7, id="base-much-larger"),
+    pytest.param(7, 5, 7, id="base-equals-mod"),
+    pytest.param(14, 2, 7, id="base-multiple-of-mod"),
+    pytest.param(3, 10**30, 2**64, id="power-of-two-mod"),
+    pytest.param(12345, 65537, 1000, id="even-mod"),
+    pytest.param((1 << 2048) - 1, (1 << 2048) - 3, (1 << 2047) + 1, id="2048-bit"),
+])
+def test_modexp_edge_cases(base, exp, mod):
+    assert rsa._modexp(base, exp, mod) == pow(base, exp, mod)
+
+
+def test_native_modexp_rejects_negative_exponent_and_bad_modulus():
+    native = rsa._load_native_modexp()
+    if native is None:
+        pytest.skip("libcrypto not available")
+    with pytest.raises(ValueError):
+        native(3, -1, 7)
+    with pytest.raises(ValueError):
+        native(3, 2, 0)
+
+
+def test_native_backend_active_when_libcrypto_present():
+    if ctypes.util.find_library("crypto") is None:
+        pytest.skip("libcrypto not available")
+    assert rsa.MODEXP_BACKEND == "libcrypto"
+    assert rsa._modexp is not pow
+
+
+def test_kernel_falls_back_when_libcrypto_unloadable(monkeypatch):
+    monkeypatch.setitem(sys.modules, "_hashlib", None)  # import fails
+    assert rsa._load_native_modexp() is None
+    libm = ctypes.util.find_library("m") or "no-such-libm.so"  # no BN_* symbols
+    for path in ("no-such-libcrypto.so", libm):
+        monkeypatch.setitem(sys.modules, "_hashlib", types.SimpleNamespace(__file__=path))
+        assert rsa._load_native_modexp() is None
+
+
+def test_builtin_pow_kernel_gives_identical_keys_and_signatures(monkeypatch):
+    def run():
+        k = generate_keypair(512, Drbg("kernel-equivalence"))
+        sig = k.sign(b"message")
+        ct = k.public.encrypt(b"secret", Drbg("e"))
+        return k, sig, ct, k.public.verify(b"message", sig), k.decrypt(ct)
+
+    active = run()
+    monkeypatch.setattr(rsa, "_modexp", pow)
+    assert run() == active
+    assert active[3] and active[4] == b"secret"
 
 
 # -- sign / verify --------------------------------------------------------------------
