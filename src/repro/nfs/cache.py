@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.nfs.protocol import Fattr3, FileHandle
 
@@ -147,7 +147,16 @@ class NameCache(_StatsMixin):
     def __init__(self, capacity: int = 65536):
         self.capacity = capacity
         self._entries: "OrderedDict[Tuple[int, str], Tuple[FileHandle, int]]" = OrderedDict()
+        #: dir_fileid -> names cached under it, so invalidate_dir never
+        #: scans the table (deletion order leaves the LRU order intact)
+        self._by_dir: Dict[int, Set[str]] = {}
         self.stats = CacheStats()
+
+    def _unindex(self, dir_fileid: int, name: str) -> None:
+        names = self._by_dir[dir_fileid]
+        names.discard(name)
+        if not names:
+            del self._by_dir[dir_fileid]
 
     def get(self, dir_fileid: int, name: str) -> Optional[Tuple[FileHandle, int]]:
         key = (dir_fileid, name)
@@ -163,20 +172,26 @@ class NameCache(_StatsMixin):
         key = (dir_fileid, name)
         self._entries[key] = (fh, fileid)
         self._entries.move_to_end(key)
+        names = self._by_dir.get(dir_fileid)
+        if names is None:
+            names = self._by_dir[dir_fileid] = set()
+        names.add(name)
         while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+            (vdir, vname), _ = self._entries.popitem(last=False)
+            self._unindex(vdir, vname)
             self.stats.evict()
 
     def invalidate(self, dir_fileid: int, name: str) -> None:
-        self._entries.pop((dir_fileid, name), None)
+        if self._entries.pop((dir_fileid, name), None) is not None:
+            self._unindex(dir_fileid, name)
 
     def invalidate_dir(self, dir_fileid: int) -> None:
-        stale = [k for k in self._entries if k[0] == dir_fileid]
-        for k in stale:
-            del self._entries[k]
+        for name in self._by_dir.pop(dir_fileid, ()):
+            del self._entries[(dir_fileid, name)]
 
     def clear(self) -> None:
         self._entries.clear()
+        self._by_dir.clear()
 
 
 class AccessCache(_StatsMixin):
@@ -220,12 +235,18 @@ class PageCache(_StatsMixin):
     Eviction returns dirty victims to the caller (which must write them
     back); clean pages are simply dropped — exactly the split a kernel
     page cache makes.
+
+    A per-file index lists each file's blocks in the same relative order
+    as the global LRU, so per-file flushes and drops touch only that
+    file's pages yet see them in the order a full scan would.
     """
 
     def __init__(self, capacity_bytes: int, block_size: int):
         self.capacity_bytes = capacity_bytes
         self.block_size = block_size
         self._pages: "OrderedDict[Tuple[int, int], Page]" = OrderedDict()
+        #: fileid -> its blocks, in global LRU order (values unused)
+        self._by_file: "Dict[int, OrderedDict[int, None]]" = {}
         self._bytes = 0
         self.stats = CacheStats()
 
@@ -243,6 +264,7 @@ class PageCache(_StatsMixin):
             self.stats.miss()
             return None
         self._pages.move_to_end(key)
+        self._by_file[fileid].move_to_end(block)
         self.stats.hit()
         return page
 
@@ -257,13 +279,24 @@ class PageCache(_StatsMixin):
             self._bytes -= len(old.data)
         self._pages[key] = page
         self._bytes += len(page.data)
+        blocks = self._by_file.get(fileid)
+        if blocks is None:
+            blocks = self._by_file[fileid] = OrderedDict()
+        blocks[block] = None
+        blocks.move_to_end(block)
         victims: list[Tuple[int, int, Page]] = []
         while self._bytes > self.capacity_bytes and len(self._pages) > 1:
             vkey, vpage = self._pages.popitem(last=False)
             if vkey == key:  # never evict what we just inserted
+                # Popped from the front and put back at the front: the
+                # LRU order is unchanged, so the file index is too.
                 self._pages[vkey] = vpage
                 self._pages.move_to_end(vkey, last=False)
                 break
+            vblocks = self._by_file[vkey[0]]
+            del vblocks[vkey[1]]
+            if not vblocks:
+                del self._by_file[vkey[0]]
             self._bytes -= len(vpage.data)
             self.stats.evict()
             if vpage.dirty:
@@ -271,16 +304,29 @@ class PageCache(_StatsMixin):
         return victims
 
     def dirty_pages(self, fileid: Optional[int] = None):
-        for (fid, block), page in list(self._pages.items()):
-            if page.dirty and (fileid is None or fid == fileid):
-                yield fid, block, page
+        """Dirty (fileid, block, page) in LRU order, all files or one.
+
+        The (key, page) pairs are snapshotted before the first yield, so
+        a page evicted while the caller flushes is still written back;
+        dirtiness is tested as each page is reached.
+        """
+        if fileid is None:
+            for (fid, block), page in list(self._pages.items()):
+                if page.dirty:
+                    yield fid, block, page
+            return
+        pages = self._pages
+        snapshot = [(block, pages[(fileid, block)])
+                    for block in self._by_file.get(fileid, ())]
+        for block, page in snapshot:
+            if page.dirty:
+                yield fileid, block, page
 
     def drop_file(self, fileid: int) -> None:
-        stale = [k for k in self._pages if k[0] == fileid]
-        for k in stale:
-            self._bytes -= len(self._pages[k].data)
-            del self._pages[k]
+        for block in self._by_file.pop(fileid, ()):
+            self._bytes -= len(self._pages.pop((fileid, block)).data)
 
     def clear(self) -> None:
         self._pages.clear()
+        self._by_file.clear()
         self._bytes = 0

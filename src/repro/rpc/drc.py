@@ -25,12 +25,13 @@ own its own instance.
 from __future__ import annotations
 
 import zlib
-from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from collections import OrderedDict, deque
+from typing import Deque, Optional, Tuple
 
 from repro.rpc.auth import AUTH_SYS, AuthSys
 from repro.rpc.messages import CallMessage
-from repro.sim.core import Event, Simulator
+from repro.sim.core import Simulator
+from repro.xdr import XdrError
 
 #: check() states
 MISS = "miss"
@@ -50,7 +51,7 @@ def drc_key(call: CallMessage) -> Tuple:
         try:
             sys = AuthSys.from_opaque(call.cred)
             ident: Tuple = (sys.machinename, sys.uid)
-        except Exception:
+        except XdrError:  # malformed AUTH_SYS body
             ident = ("-", call.cred.flavor)
     else:
         ident = ("-", call.cred.flavor)
@@ -89,6 +90,11 @@ class DuplicateRequestCache:
         self.evictions = 0
         self.expirations = 0
         self._entries: "OrderedDict[Tuple, _Entry]" = OrderedDict()
+        #: (done_at, key) per complete(), in nondecreasing done_at order
+        #: (done_at is the simulated clock), so expiry pops from the left
+        #: instead of scanning the table.  Keys, not entries: a record
+        #: must not keep an evicted reply's bytes alive.
+        self._expiry: "Deque[Tuple[float, Tuple]]" = deque()
         self._c_replays = None
         self._c_parks = None
 
@@ -145,6 +151,7 @@ class DuplicateRequestCache:
             self._entries[key] = entry
         entry.reply = encoded
         entry.done_at = self.sim.now
+        self._expiry.append((entry.done_at, key))
         self._entries.move_to_end(key)
         waiters, entry.waiters = entry.waiters, []
         for ev in waiters:
@@ -182,12 +189,21 @@ class DuplicateRequestCache:
             self.evictions += 1
 
     def _expire(self) -> None:
+        """Drop completed entries older than ``max_age``.
+
+        A popped record is only a hint: the live entry may since have
+        been evicted, re-executed, or re-completed later, so the entry
+        goes only if it still satisfies the age predicate itself.
+        """
         now = self.sim.now
-        stale = [
-            key
-            for key, entry in self._entries.items()
-            if entry.reply is not None and now - entry.done_at > self.max_age
-        ]
-        for key in stale:
-            del self._entries[key]
-            self.expirations += 1
+        expiry = self._expiry
+        while expiry and now - expiry[0][0] > self.max_age:
+            _done_at, key = expiry.popleft()
+            entry = self._entries.get(key)
+            if (
+                entry is not None
+                and entry.reply is not None
+                and now - entry.done_at > self.max_age
+            ):
+                del self._entries[key]
+                self.expirations += 1

@@ -35,10 +35,13 @@ from __future__ import annotations
 import bisect
 import itertools
 from collections import deque
+from operator import itemgetter
 from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.sim.core import Event, SimError, Simulator
 from repro.sim.sync import Semaphore, lock_group
+
+_start = itemgetter(0)  # an interval's start time: the bisect key
 
 
 class CpuLedger:
@@ -120,15 +123,14 @@ class CpuLedger:
     def _overlap(ivs: List[Tuple[float, float]], t0: float, t1: float) -> float:
         """Overlap of a sorted disjoint interval list with [t0, t1)."""
         # Find the first interval that could overlap (end > t0).
-        starts = [s for s, _ in ivs]
-        i = bisect.bisect_left(starts, t0)
+        i = bisect.bisect_left(ivs, t0, key=_start)
         # Step back: the previous interval may straddle t0.
         while i > 0 and ivs[i - 1][1] > t0:
             i -= 1
+        # Stop before the first interval starting at or after t1.
+        j = bisect.bisect_left(ivs, t1, lo=i, key=_start)
         busy = 0.0
-        for s, e in ivs[i:]:
-            if s >= t1:
-                break
+        for s, e in ivs[i:j]:
             busy += max(0.0, min(e, t1) - max(s, t0))
         return busy
 

@@ -150,6 +150,9 @@ class VirtualFS:
         )
         self._inodes[1] = root
         self.root = root
+        #: running sum of every inode's used_bytes(), kept by each
+        #: mutation below so space checks never walk the inode table
+        self._used = root.used_bytes()
         self.write_ops = 0
         self.read_ops = 0
 
@@ -162,7 +165,7 @@ class VirtualFS:
         return node
 
     def used_bytes(self) -> int:
-        return sum(n.used_bytes() for n in self._inodes.values())
+        return self._used
 
     def inode_count(self) -> int:
         return len(self._inodes)
@@ -278,7 +281,9 @@ class VirtualFS:
             if self.used_bytes() + grow > self.capacity_bytes:
                 raise VfsError(Status.NOSPC)
             node.data.extend(b"\x00" * grow)
+            self._used += grow
         else:
+            self._used -= len(node.data) - size
             del node.data[size:]
         node.size = size
 
@@ -293,7 +298,12 @@ class VirtualFS:
             generation=next(self._generation),
         )
         self._inodes[node.fileid] = node
+        self._used += node.used_bytes()
         return node
+
+    def _drop_inode(self, node: Inode) -> None:
+        del self._inodes[node.fileid]
+        self._used -= node.used_bytes()
 
     def create(
         self, dir_id: int, name: str, cred: Credentials, mode: int = 0o644,
@@ -314,6 +324,7 @@ class VirtualFS:
         self._require(d, cred, 3)  # write + search
         node = self._new_inode(Ftype.REG, mode, cred)
         d.entries[name] = node.fileid
+        self._used += 32
         self._touch(d, m=True, c=True)
         self.write_ops += 1
         return node
@@ -328,6 +339,7 @@ class VirtualFS:
         node = self._new_inode(Ftype.DIR, mode, cred)
         node.nlink = 2
         d.entries[name] = node.fileid
+        self._used += 32
         d.nlink += 1
         self._touch(d, m=True, c=True)
         self.write_ops += 1
@@ -344,6 +356,7 @@ class VirtualFS:
         node.symlink_target = target
         node.size = len(target)
         d.entries[name] = node.fileid
+        self._used += 32
         self._touch(d, m=True, c=True)
         self.write_ops += 1
         return node
@@ -365,6 +378,7 @@ class VirtualFS:
             raise VfsError(Status.EXIST, name)
         self._require(d, cred, 3)
         d.entries[name] = node.fileid
+        self._used += 32
         node.nlink += 1
         self._touch(node, c=True)
         self._touch(d, m=True, c=True)
@@ -385,9 +399,10 @@ class VirtualFS:
         if child.is_dir:
             raise VfsError(Status.ISDIR, name)
         del d.entries[name]
+        self._used -= 32
         child.nlink -= 1
         if child.nlink <= 0:
-            del self._inodes[child_id]
+            self._drop_inode(child)
         else:
             self._touch(child, c=True)
         self._touch(d, m=True, c=True)
@@ -407,7 +422,8 @@ class VirtualFS:
         if child.entries:
             raise VfsError(Status.NOTEMPTY, name)
         del d.entries[name]
-        del self._inodes[child_id]
+        self._used -= 32
+        self._drop_inode(child)
         d.nlink -= 1
         self._touch(d, m=True, c=True)
         self.write_ops += 1
@@ -439,16 +455,18 @@ class VirtualFS:
                     raise VfsError(Status.ISDIR, to_name)
                 if existing.entries:
                     raise VfsError(Status.NOTEMPTY, to_name)
-                del self._inodes[existing_id]
+                self._drop_inode(existing)
                 dst.nlink -= 1
             else:
                 if moving.is_dir:
                     raise VfsError(Status.NOTDIR, to_name)
                 existing.nlink -= 1
                 if existing.nlink <= 0:
-                    del self._inodes[existing_id]
+                    self._drop_inode(existing)
         del src.entries[from_name]
         dst.entries[to_name] = moving_id
+        if existing_id is not None:  # one name replaced another
+            self._used -= 32
         if moving.is_dir and src is not dst:
             src.nlink -= 1
             dst.nlink += 1
@@ -490,7 +508,8 @@ class VirtualFS:
             grow = end - len(node.data)
             if self.used_bytes() + grow > self.capacity_bytes:
                 raise VfsError(Status.NOSPC)
-            node.data.extend(b"\x00" * (end - len(node.data)))
+            node.data.extend(b"\x00" * grow)
+            self._used += grow
         node.data[offset:end] = data
         node.size = len(node.data)
         self._touch(node, m=True, c=True)

@@ -9,12 +9,14 @@ timer *below* the WAN RTT and count actual executions at the kernel
 NFS program — for the plain NFS path and for both SGFS proxy hops.
 """
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.core import Testbed, setup_nfs_v3
 from repro.core.setups import setup_gfs, setup_sgfs
 from repro.nfs.protocol import Proc
-from repro.rpc.auth import AuthSys
+from repro.rpc.auth import AUTH_SYS, AuthSys, OpaqueAuth
 from repro.rpc.drc import MISS, REPLAY, WAIT, DuplicateRequestCache, drc_key
 from repro.rpc.messages import CallMessage
 from repro.sim import Simulator
@@ -129,6 +131,103 @@ def test_drc_key_separates_client_identities():
     assert drc_key(call(1)) != drc_key(call(1, xid=78))
     # same xid reused for a different payload (paranoia guard)
     assert drc_key(call(1)) != drc_key(call(1, args=b"different"))
+
+
+def test_drc_key_malformed_auth_sys_body_maps_to_flavor():
+    """A garbage AUTH_SYS body (short, bad UTF-8, trailing bytes) is an
+    XdrError, and the call is keyed by flavor alone."""
+    bodies = [
+        b"",
+        b"\x00\x00\x00\x01",
+        b"\x00" * 4 + b"\x00\x00\x00\x02\xff\xfe\x00\x00" + b"\x00" * 12,
+        b"\x00" * 100,
+    ]
+    for body in bodies:
+        cred = OpaqueAuth(AUTH_SYS, body)
+        call = CallMessage(77, 100003, 3, int(Proc.REMOVE), cred=cred, args=b"a")
+        assert drc_key(call)[0] == ("-", AUTH_SYS), body
+
+
+def test_drc_key_propagates_unrelated_errors(monkeypatch):
+    def broken(cls, auth):
+        raise RuntimeError("not a decode failure")
+
+    monkeypatch.setattr(AuthSys, "from_opaque", classmethod(broken))
+    cred = AuthSys(machinename="node1", uid=1, gid=1).to_opaque()
+    call = CallMessage(77, 100003, 3, int(Proc.REMOVE), cred=cred, args=b"a")
+    with pytest.raises(RuntimeError):
+        drc_key(call)
+
+
+# -- indexed expiry vs. the full-table scan ----------------------------------
+
+
+class _ScanDRC(DuplicateRequestCache):
+    """Reference: expiry as it was, a scan of every entry per check()."""
+
+    def _expire(self):
+        self._expiry.clear()  # unused by the scan
+        now = self.sim.now
+        stale = [
+            key
+            for key, entry in self._entries.items()
+            if entry.reply is not None and now - entry.done_at > self.max_age
+        ]
+        for key in stale:
+            del self._entries[key]
+            self.expirations += 1
+
+
+_drc_keys = st.sampled_from("abcd")
+_drc_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("check"), _drc_keys),
+        st.tuples(st.just("check"), _drc_keys),
+        st.tuples(st.just("complete"), _drc_keys),
+        st.tuples(st.just("complete"), _drc_keys),
+        st.tuples(st.just("abort"), _drc_keys),
+        # 10.0 lands exactly on max_age: not yet stale
+        st.tuples(st.just("advance"),
+                  st.sampled_from([0.5, 3.0, 7.25, 10.0, 10.5, 25.0])),
+    ),
+    max_size=100,
+)
+
+
+def _drc_state(drc):
+    return (
+        [(k, e.reply, e.done_at, len(e.waiters)) for k, e in drc._entries.items()],
+        (drc.misses, drc.replays, drc.parks, drc.evictions, drc.expirations),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(ops=_drc_ops)
+def test_drc_expiry_queue_matches_full_scan(ops):
+    sim = Simulator()
+    drc = DuplicateRequestCache(sim, capacity=3, max_age=10.0)
+    ref = _ScanDRC(sim, capacity=3, max_age=10.0)
+    for n, op in enumerate(ops):
+        if op[0] == "check":
+            (state, value), (rstate, rvalue) = drc.check(op[1]), ref.check(op[1])
+            assert state == rstate
+            if state == REPLAY:
+                assert value == rvalue
+            # after _expire the queue holds nothing older than max_age
+            assert all(sim.now - t <= drc.max_age for t, _k in drc._expiry)
+        elif op[0] == "complete":
+            # completing a key that is not (or no longer) in progress
+            # re-creates or re-stamps it, as a late reply would
+            reply = b"r%d" % n
+            drc.complete(op[1], reply)
+            ref.complete(op[1], reply)
+        elif op[0] == "abort":
+            drc.abort(op[1])
+            ref.abort(op[1])
+        else:
+            sim.run(until=sim.now + op[1])
+        assert _drc_state(drc) == _drc_state(ref)
+        assert all(isinstance(k, str) for _t, k in drc._expiry)
 
 
 # -- end-to-end: retransmitted non-idempotent calls execute once --------------

@@ -1,6 +1,10 @@
 """The kernel client's cache machinery, unit-tested directly."""
 
+from collections import OrderedDict
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.nfs.cache import AccessCache, AttrCache, NameCache, Page, PageCache
 from repro.nfs.protocol import Fattr3, FileHandle
@@ -202,3 +206,190 @@ def test_page_cache_dirty_pages_iterator():
     assert {(f, b) for f, b, _p in all_dirty} == {(1, 0), (2, 0)}
     only_1 = list(cache.dirty_pages(1))
     assert {(f, b) for f, b, _p in only_1} == {(1, 0)}
+
+
+# -- index equivalence: per-file / per-dir indexes vs. the full scans -------------
+
+
+class _ScanPageCache:
+    """The page cache as it was before the per-file index: dirty_pages
+    and drop_file filter the whole LRU."""
+
+    def __init__(self, capacity_bytes):
+        self.capacity_bytes = capacity_bytes
+        self._pages = OrderedDict()
+        self._bytes = 0
+        self.evictions = 0
+
+    def get(self, fileid, block):
+        page = self._pages.get((fileid, block))
+        if page is not None:
+            self._pages.move_to_end((fileid, block))
+        return page
+
+    def put(self, fileid, block, page):
+        key = (fileid, block)
+        old = self._pages.pop(key, None)
+        if old is not None:
+            self._bytes -= len(old.data)
+        self._pages[key] = page
+        self._bytes += len(page.data)
+        victims = []
+        while self._bytes > self.capacity_bytes and len(self._pages) > 1:
+            vkey, vpage = self._pages.popitem(last=False)
+            if vkey == key:
+                self._pages[vkey] = vpage
+                self._pages.move_to_end(vkey, last=False)
+                break
+            self._bytes -= len(vpage.data)
+            self.evictions += 1
+            if vpage.dirty:
+                victims.append((vkey[0], vkey[1], vpage))
+        return victims
+
+    def dirty_pages(self, fileid=None):
+        for (fid, block), page in list(self._pages.items()):
+            if page.dirty and (fileid is None or fid == fileid):
+                yield fid, block, page
+
+    def drop_file(self, fileid):
+        for k in [k for k in self._pages if k[0] == fileid]:
+            self._bytes -= len(self._pages.pop(k).data)
+
+
+_fids = st.integers(min_value=1, max_value=3)
+_blocks = st.integers(min_value=0, max_value=3)
+_page_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), _fids, _blocks,
+                  st.integers(min_value=1, max_value=80), st.booleans()),
+        st.tuples(st.just("get"), _fids, _blocks),
+        st.tuples(st.just("get"), _fids, _blocks),
+        st.tuples(st.just("peek"), _fids, _blocks),
+        st.tuples(st.just("flush"), st.one_of(st.none(), _fids),
+                  st.lists(st.tuples(_fids, _blocks), max_size=3)),
+        st.tuples(st.just("drop"), _fids),
+    ),
+    max_size=80,
+)
+
+
+def _assert_same_pages(cache, ref):
+    assert list(cache._pages.items()) == list(ref._pages.items())
+    assert cache.used_bytes == ref._bytes
+    assert cache.evictions == ref.evictions
+    for fid, blocks in cache._by_file.items():
+        assert blocks, "empty per-file index left behind"
+        assert list(blocks) == [b for f, b in ref._pages if f == fid]
+    assert set(cache._by_file) == {f for f, _b in ref._pages}
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=_page_ops)
+def test_page_cache_index_matches_full_scan(ops):
+    cache = PageCache(capacity_bytes=300, block_size=100)
+    ref = _ScanPageCache(capacity_bytes=300)
+    for op in ops:
+        if op[0] == "put":
+            _, fid, block, size, dirty = op
+            page = Page(data=bytes(size), dirty=dirty)  # shared by both
+            assert cache.put(fid, block, page) == ref.put(fid, block, page)
+        elif op[0] == "get":
+            assert cache.get(op[1], op[2]) is ref.get(op[1], op[2])
+        elif op[0] == "peek":
+            assert cache.peek(op[1], op[2]) is ref._pages.get((op[1], op[2]))
+        elif op[0] == "flush":
+            # Clean each yielded page and, like a flush racing new
+            # writes, insert (and so maybe evict) between yields.
+            _, fid, inserts = op
+            got, want = cache.dirty_pages(fid), ref.dirty_pages(fid)
+            step = 0
+            while True:
+                a, b = next(got, None), next(want, None)
+                assert a == b
+                if a is None:
+                    break
+                assert a[2] is b[2]
+                a[2].dirty = False
+                if step < len(inserts):
+                    ifid, iblock = inserts[step]
+                    page = Page(data=bytes(100), dirty=True)
+                    assert cache.put(ifid, iblock, page) == ref.put(ifid, iblock, page)
+                step += 1
+        else:
+            cache.drop_file(op[1])
+            ref.drop_file(op[1])
+        _assert_same_pages(cache, ref)
+    cache.clear()
+    assert not cache._by_file and cache.used_bytes == 0
+
+
+class _ScanNameCache:
+    """The name cache before the per-directory index."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self._entries = OrderedDict()
+        self.evictions = 0
+
+    def get(self, d, name):
+        hit = self._entries.get((d, name))
+        if hit is not None:
+            self._entries.move_to_end((d, name))
+        return hit
+
+    def put(self, d, name, fh_, fileid):
+        self._entries[(d, name)] = (fh_, fileid)
+        self._entries.move_to_end((d, name))
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+            self.evictions += 1
+
+    def invalidate(self, d, name):
+        self._entries.pop((d, name), None)
+
+    def invalidate_dir(self, d):
+        for k in [k for k in self._entries if k[0] == d]:
+            del self._entries[k]
+
+
+_names = st.sampled_from(["a", "b", "c", "d"])
+_name_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), _fids, _names, st.integers(10, 20)),
+        st.tuples(st.just("put"), _fids, _names, st.integers(10, 20)),
+        st.tuples(st.just("get"), _fids, _names),
+        st.tuples(st.just("invalidate"), _fids, _names),
+        st.tuples(st.just("invalidate_dir"), _fids),
+        st.tuples(st.just("clear"),),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=_name_ops)
+def test_name_cache_index_matches_full_scan(ops):
+    cache = NameCache(capacity=4)
+    ref = _ScanNameCache(capacity=4)
+    for op in ops:
+        if op[0] == "put":
+            _, d, name, fileid = op
+            cache.put(d, name, fh(fileid), fileid)
+            ref.put(d, name, fh(fileid), fileid)
+        elif op[0] == "get":
+            assert cache.get(op[1], op[2]) == ref.get(op[1], op[2])
+        elif op[0] == "invalidate":
+            cache.invalidate(op[1], op[2])
+            ref.invalidate(op[1], op[2])
+        elif op[0] == "invalidate_dir":
+            cache.invalidate_dir(op[1])
+            ref.invalidate_dir(op[1])
+        else:
+            cache.clear()
+            ref._entries.clear()
+        assert list(cache._entries.items()) == list(ref._entries.items())
+        assert cache.evictions == ref.evictions
+        index = {(d, n) for d, names in cache._by_dir.items() for n in names}
+        assert index == set(ref._entries)
+        assert all(cache._by_dir.values()), "empty per-dir index left behind"

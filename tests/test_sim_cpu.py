@@ -1,6 +1,10 @@
 """CPU resource: serialization, speed scaling, ledger accounting."""
 
+import bisect
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.sim import CPU, Simulator
 from repro.sim.core import SimError
@@ -85,6 +89,40 @@ def test_ledger_window_query():
     assert ledger.busy_in_window("a", 3.0, 5.0) == 0.0
     assert ledger.busy_in_window("a", 5.0, 5.0) == 0.0  # empty window
     assert ledger.busy_in_window("missing", 0.0, 10.0) == 0.0
+
+
+def _scan_overlap(ivs, t0, t1):
+    """The window overlap as computed before the keyed bisect."""
+    i = bisect.bisect_left([s for s, _ in ivs], t0)
+    while i > 0 and ivs[i - 1][1] > t0:
+        i -= 1
+    busy = 0.0
+    for s, e in ivs[i:]:
+        if s >= t1:
+            break
+        busy += max(0.0, min(e, t1) - max(s, t0))
+    return busy
+
+
+_gaps = st.lists(
+    st.tuples(st.sampled_from([0.0, 0.1, 0.25, 1.0, 1.5]),
+              st.sampled_from([0.0, 0.1, 0.3, 1.0, 2.0])),
+    max_size=30,
+)
+_bounds = st.sampled_from([0.0, 0.1, 0.35, 1.0, 2.5, 4.0, 7.75, 30.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(gaps=_gaps, t0=_bounds, t1=_bounds)
+def test_ledger_overlap_matches_unkeyed_scan(gaps, t0, t1):
+    """Bit-identical sums, including windows that start or end exactly
+    on an interval boundary and zero-length intervals."""
+    ivs, t = [], 0.0
+    for idle, busy in gaps:
+        t += idle
+        ivs.append((t, t + busy))
+        t += busy
+    assert CpuLedger._overlap(ivs, t0, t1) == _scan_overlap(ivs, t0, t1)
 
 
 def test_ledger_rejects_negative_interval():

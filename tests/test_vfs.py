@@ -278,6 +278,47 @@ def test_capacity_enforced():
     assert e.value.status == Status.NOSPC
 
 
+def _inode_sum(fs):
+    """Space in use as the full inode-table sum computes it."""
+    return sum(n.used_bytes() for n in fs._inodes.values())
+
+
+def _grow(fs, node, size, how):
+    if how == "write":
+        fs.write(node.fileid, len(node.data), b"x" * (size - len(node.data)), ALICE)
+    else:
+        fs.setattr(node.fileid, ALICE, size=size)
+
+
+@pytest.mark.parametrize("how", ["write", "setattr"])
+def test_capacity_boundary_exact_and_one_past(how):
+    """Growth to exactly capacity_bytes succeeds; one byte past is NOSPC —
+    the same decision the full inode sum gives."""
+    capacity = 4096
+    fs = VirtualFS(root_uid=1000, root_gid=1000, capacity_bytes=capacity)
+    # exercise every accounting site before probing the boundary
+    d = fs.mkdir(1, "d", ALICE)
+    fs.symlink(d.fileid, "s", "../f", ALICE)
+    gone = fs.create(1, "gone", ALICE)
+    fs.write(gone.fileid, 0, b"y" * 300, ALICE)
+    fs.remove(1, "gone", ALICE)
+    f = fs.create(1, "f", ALICE)
+    fs.write(f.fileid, 0, b"z" * 100, ALICE)
+    fs.setattr(f.fileid, ALICE, size=40)
+    fs.link(f.fileid, d.fileid, "hard", ALICE)
+    assert fs.used_bytes() == _inode_sum(fs)
+
+    free = capacity - _inode_sum(fs)
+    exact = len(f.data) + free
+    _grow(fs, f, exact, how)
+    assert fs.used_bytes() == _inode_sum(fs) == capacity
+    with pytest.raises(VfsError) as e:
+        _grow(fs, f, exact + 1, how)
+    assert e.value.status == Status.NOSPC
+    assert fs.used_bytes() == _inode_sum(fs) == capacity
+    assert len(f.data) == exact  # the refused growth left no trace
+
+
 def test_readdir_sorted_with_dot_entries(fs):
     fs.create(1, "zeta", ALICE)
     fs.create(1, "alpha", ALICE)

@@ -22,14 +22,15 @@ class VfsModel(RuleBasedStateMachine):
     @initialize()
     def setup(self):
         self.fs = VirtualFS(root_uid=1000, root_gid=1000)
-        self.files = {}  # name -> bytearray (files in the root dir)
+        self.files = {}  # name -> bytearray (hard links share one)
         self.dirs = set()  # names of empty dirs in the root
+        self.links = {}  # name -> symlink target
 
     # -- rules ------------------------------------------------------------
 
     @rule(name=names, data=payloads, offset=offsets)
     def write(self, name, data, offset):
-        if name in self.dirs:
+        if name in self.dirs or name in self.links:
             return
         try:
             node = self.fs.create(1, name, CRED)
@@ -43,7 +44,7 @@ class VfsModel(RuleBasedStateMachine):
 
     @rule(name=names)
     def mkdir(self, name):
-        if name in self.files or name in self.dirs:
+        if name in self.files or name in self.dirs or name in self.links:
             try:
                 self.fs.mkdir(1, name, CRED)
                 raise AssertionError("mkdir should have failed with EXIST")
@@ -54,9 +55,10 @@ class VfsModel(RuleBasedStateMachine):
 
     @rule(name=names)
     def remove(self, name):
-        if name in self.files:
+        if name in self.files or name in self.links:
             self.fs.remove(1, name, CRED)
-            del self.files[name]
+            self.files.pop(name, None)
+            self.links.pop(name, None)
         else:
             try:
                 self.fs.remove(1, name, CRED)
@@ -78,30 +80,62 @@ class VfsModel(RuleBasedStateMachine):
 
     @rule(src=names, dst=names)
     def rename(self, src, dst):
+        non_dir = src in self.files or src in self.links
         model_ok = (
-            src in self.files
-            and src != dst
-            and dst not in self.dirs
+            non_dir and src != dst and dst not in self.dirs
         ) or (
             # a directory may replace an *empty* directory (ours always
-            # are) but never a file
-            src in self.dirs and src != dst and dst not in self.files
+            # are) but never a file or symlink
+            src in self.dirs and src != dst
+            and dst not in self.files and dst not in self.links
         )
         try:
             self.fs.rename(1, src, 1, dst, CRED)
             real_ok = True
         except VfsError:
             real_ok = False
-        if src == dst and (src in self.files or src in self.dirs):
+        if src == dst and (non_dir or src in self.dirs):
             return  # no-op rename onto itself: both sides unchanged
+        if src in self.files and self.files.get(dst) is self.files[src]:
+            assert real_ok
+            return  # both names link one inode: a no-op, as in POSIX
         assert real_ok == model_ok, (src, dst, sorted(self.files), sorted(self.dirs))
         if model_ok:
+            self.files.pop(dst, None)
+            self.links.pop(dst, None)
+            self.dirs.discard(dst)  # replaced empty dir, if any
             if src in self.files:
                 self.files[dst] = self.files.pop(src)
+            elif src in self.links:
+                self.links[dst] = self.links.pop(src)
             else:
                 self.dirs.discard(src)
-                self.dirs.discard(dst)  # replaced empty dir, if any
                 self.dirs.add(dst)
+
+    @rule(src=names, dst=names)
+    def link(self, src, dst):
+        if src not in self.files:
+            return
+        taken = dst in self.files or dst in self.dirs or dst in self.links
+        node = self.fs.resolve(f"/{src}", CRED)
+        try:
+            self.fs.link(node.fileid, 1, dst, CRED)
+        except VfsError:
+            assert taken
+            return
+        assert not taken
+        self.files[dst] = self.files[src]  # one shared inode
+
+    @rule(name=names, dest=st.sampled_from(["f0", "../x", "a" * 40]))
+    def symlink(self, name, dest):
+        taken = name in self.files or name in self.dirs or name in self.links
+        try:
+            self.fs.symlink(1, name, dest, CRED)
+        except VfsError:
+            assert taken
+            return
+        assert not taken
+        self.links[name] = dest
 
     @rule(name=names, size=st.integers(min_value=0, max_value=250))
     def truncate(self, name, size):
@@ -123,7 +157,9 @@ class VfsModel(RuleBasedStateMachine):
             name for name, _fid in self.fs.readdir(1, CRED)
             if name not in (".", "..")
         }
-        assert listing == set(self.files) | self.dirs
+        assert listing == set(self.files) | self.dirs | set(self.links)
+        for name, target in self.links.items():
+            assert self.fs.readlink(self.fs.resolve(f"/{name}", CRED).fileid) == target
         for name, expected in self.files.items():
             node = self.fs.resolve(f"/{name}", CRED)
             data, _eof = self.fs.read(node.fileid, 0, 10_000, CRED)
@@ -133,6 +169,12 @@ class VfsModel(RuleBasedStateMachine):
     @invariant()
     def nlink_consistent(self):
         assert self.fs.root.nlink == 2 + len(self.dirs)
+
+    @invariant()
+    def space_accounting_matches_inode_sum(self):
+        assert self.fs.used_bytes() == sum(
+            n.used_bytes() for n in self.fs._inodes.values()
+        )
 
 
 TestVfsStateful = VfsModel.TestCase
