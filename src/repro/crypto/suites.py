@@ -105,9 +105,16 @@ class FastXorState(CipherStateBase):
 
     def _xor(self, data: bytes, off: int) -> tuple[bytes, int]:
         n = len(data)
+        pad = self._pad
         start = off % self.PAD_LEN
-        reps = (start + n + self.PAD_LEN - 1) // self.PAD_LEN
-        keystream = np.tile(self._pad, reps)[start : start + n]
+        end = start + n
+        if end <= self.PAD_LEN:  # a view of the pad: no copy
+            keystream = pad[start:end]
+        elif n <= self.PAD_LEN:  # wraps once: join the two pieces
+            keystream = np.concatenate((pad[start:], pad[: end - self.PAD_LEN]))
+        else:  # longer than the pad
+            reps = (end + self.PAD_LEN - 1) // self.PAD_LEN
+            keystream = np.tile(pad, reps)[start:end]
         out = np.bitwise_xor(np.frombuffer(data, dtype=np.uint8), keystream)
         return out.tobytes(), off + n
 

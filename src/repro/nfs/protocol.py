@@ -21,6 +21,21 @@ NFS_V3 = 3
 
 FHSIZE3 = 64
 
+# Fixed wire layouts, one precompiled struct each (RFC 1813 §2.6).
+#: fattr3: type, mode, nlink, uid, gid, size, used, rdev (2 words),
+#: fsid, fileid, then atime/mtime/ctime as (seconds, nanoseconds)
+_FATTR3_FIELDS = "iIIIIQQIIQQIIIIII"
+_FATTR3 = struct.Struct(">" + _FATTR3_FIELDS)
+#: post_op_attr present: TRUE, then fattr3
+_POST_OP_ATTR = struct.Struct(">I" + _FATTR3_FIELDS)
+#: wcc_data with absent pre-op attrs and present post-op attrs
+_WCC_DATA = struct.Struct(">II" + _FATTR3_FIELDS)
+#: wcc_attr (pre-op attrs): size, mtime, ctime
+_WCC_ATTR = struct.Struct(">QIIII")
+#: one XDR word, and two (absent optionals, pre- and post-op)
+_WORD = struct.Struct(">I")
+_TWO_WORDS = struct.Struct(">II")
+
 
 class Proc(enum.IntEnum):
     NULL = 0
@@ -98,6 +113,8 @@ class FileHandle:
     generation: int
 
     _STRUCT = struct.Struct(">IQI")
+    #: on the wire: the opaque's length word (always 16), then the body
+    _WIRE = struct.Struct(">IIQI")
 
     def to_bytes(self) -> bytes:
         return self._STRUCT.pack(self.fsid, self.fileid, self.generation)
@@ -109,21 +126,29 @@ class FileHandle:
         return cls(*cls._STRUCT.unpack(data))
 
     def pack(self, p: Packer) -> None:
-        p.pack_opaque(self.to_bytes())
+        p.pack_struct(self._WIRE, self._STRUCT.size, self.fsid, self.fileid,
+                      self.generation)
 
     @classmethod
     def unpack(cls, u: Unpacker) -> "FileHandle":
-        return cls.from_bytes(u.unpack_opaque(max_len=FHSIZE3))
+        n = u.unpack_uint()
+        if n != cls._STRUCT.size:  # any other nfs_fh3 length is not ours
+            raise XdrError(f"bad filehandle length {n}")
+        return cls(*u.unpack_struct(cls._STRUCT))
 
 
 def _pack_time(p: Packer, t: float) -> None:
+    p.pack_struct(_TWO_WORDS, *_time_words(t))
+
+
+def _time_words(t: float) -> Tuple[int, int]:
+    """nfstime3 (seconds, nanoseconds) words of a float time."""
     sec = int(t)
     nsec = int(round((t - sec) * 1e9))
     if nsec >= 1_000_000_000:
         sec += 1
         nsec -= 1_000_000_000
-    p.pack_uint(sec & 0xFFFFFFFF)
-    p.pack_uint(nsec)
+    return sec & 0xFFFFFFFF, nsec
 
 
 def _unpack_time(u: Unpacker) -> float:
@@ -149,39 +174,26 @@ class Fattr3:
     mtime: float
     ctime: float
 
+    def wire_fields(self) -> tuple:
+        """The values of the fattr3 layout, in wire order."""
+        return (
+            self.ftype, self.mode, self.nlink, self.uid, self.gid,
+            self.size, self.used,
+            0, 0,  # rdev major, minor
+            self.fsid, self.fileid,
+            *_time_words(self.atime), *_time_words(self.mtime),
+            *_time_words(self.ctime),
+        )
+
     def pack(self, p: Packer) -> None:
-        p.pack_enum(self.ftype)
-        p.pack_uint(self.mode)
-        p.pack_uint(self.nlink)
-        p.pack_uint(self.uid)
-        p.pack_uint(self.gid)
-        p.pack_uhyper(self.size)
-        p.pack_uhyper(self.used)
-        p.pack_uint(0)  # rdev major
-        p.pack_uint(0)  # rdev minor
-        p.pack_uhyper(self.fsid)
-        p.pack_uhyper(self.fileid)
-        _pack_time(p, self.atime)
-        _pack_time(p, self.mtime)
-        _pack_time(p, self.ctime)
+        p.pack_struct(_FATTR3, *self.wire_fields())
 
     @classmethod
     def unpack(cls, u: Unpacker) -> "Fattr3":
-        ftype = u.unpack_enum()
-        mode = u.unpack_uint()
-        nlink = u.unpack_uint()
-        uid = u.unpack_uint()
-        gid = u.unpack_uint()
-        size = u.unpack_uhyper()
-        used = u.unpack_uhyper()
-        u.unpack_uint()
-        u.unpack_uint()
-        fsid = u.unpack_uhyper()
-        fileid = u.unpack_uhyper()
-        atime = _unpack_time(u)
-        mtime = _unpack_time(u)
-        ctime = _unpack_time(u)
-        return cls(ftype, mode, nlink, uid, gid, size, used, fsid, fileid, atime, mtime, ctime)
+        (ftype, mode, nlink, uid, gid, size, used, _major, _minor, fsid,
+         fileid, a_s, a_ns, m_s, m_ns, c_s, c_ns) = u.unpack_struct(_FATTR3)
+        return cls(ftype, mode, nlink, uid, gid, size, used, fsid, fileid,
+                   a_s + a_ns / 1e9, m_s + m_ns / 1e9, c_s + c_ns / 1e9)
 
     @property
     def is_dir(self) -> bool:
@@ -232,25 +244,41 @@ class Sattr3:
 
 
 def pack_post_op_attr(p: Packer, attr: Optional[Fattr3]) -> None:
-    p.pack_optional(attr, lambda a: a.pack(p))
+    if attr is None:
+        p.pack_struct(_WORD, 0)
+    else:
+        p.pack_struct(_POST_OP_ATTR, 1, *attr.wire_fields())
 
 
 def unpack_post_op_attr(u: Unpacker) -> Optional[Fattr3]:
-    return u.unpack_optional(lambda: Fattr3.unpack(u))
+    return Fattr3.unpack(u) if u.unpack_bool() else None
 
 
 def pack_wcc_data(p: Packer, after: Optional[Fattr3]) -> None:
     """wcc_data with empty pre-op attrs (we never supply them)."""
-    p.pack_bool(False)  # pre_op_attr absent
-    pack_post_op_attr(p, after)
+    if after is None:
+        p.pack_struct(_TWO_WORDS, 0, 0)
+    else:
+        p.pack_struct(_WCC_DATA, 0, 1, *after.wire_fields())
 
 
 def unpack_wcc_data(u: Unpacker) -> Optional[Fattr3]:
     if u.unpack_bool():  # pre_op_attr present: size, mtime, ctime
-        u.unpack_uhyper()
-        _unpack_time(u)
-        _unpack_time(u)
-    return unpack_post_op_attr(u)
+        u.unpack_struct(_WCC_ATTR)
+    return Fattr3.unpack(u) if u.unpack_bool() else None
+
+
+def _pack_post_op_fh(p: Packer, fh: Optional[FileHandle]) -> None:
+    """post_op_fh3: an optional file handle."""
+    if fh is None:
+        p.pack_struct(_WORD, 0)
+    else:
+        p.pack_struct(_WORD, 1)
+        fh.pack(p)
+
+
+def _unpack_post_op_fh(u: Unpacker) -> Optional[FileHandle]:
+    return FileHandle.unpack(u) if u.unpack_bool() else None
 
 
 @dataclass
@@ -606,7 +634,7 @@ def pack_create_res(
     p = Packer()
     p.pack_enum(status)
     if status == NfsStatus.OK:
-        p.pack_optional(fh, lambda f: f.pack(p))
+        _pack_post_op_fh(p, fh)
         pack_post_op_attr(p, attr)
     pack_wcc_data(p, dir_after)
     return p.get_bytes()
@@ -618,7 +646,7 @@ def unpack_create_res(
     u = Unpacker(data)
     status = u.unpack_enum()
     if status == NfsStatus.OK:
-        fh = u.unpack_optional(lambda: FileHandle.unpack(u))
+        fh = _unpack_post_op_fh(u)
         attr = unpack_post_op_attr(u)
         dir_after = unpack_wcc_data(u)
         return status, fh, attr, dir_after
@@ -782,7 +810,7 @@ def pack_readdir_res(
         p.pack_uhyper(e.cookie)
         if plus:
             pack_post_op_attr(p, e.attr)
-            p.pack_optional(e.handle, lambda f: f.pack(p))
+            _pack_post_op_fh(p, e.handle)
 
     p.pack_list(entries, pack_entry)
     p.pack_bool(eof)
@@ -807,7 +835,7 @@ def unpack_readdir_res(
         handle = None
         if plus:
             attr = unpack_post_op_attr(u)
-            handle = u.unpack_optional(lambda: FileHandle.unpack(u))
+            handle = _unpack_post_op_fh(u)
         return DirEntry(fileid, name, cookie, attr, handle)
 
     entries = u.unpack_list(unpack_entry, max_len=100_000)

@@ -160,9 +160,10 @@ class AclStore:
     def _parent_and_name(self, fileid: int) -> Optional[tuple[int, str]]:
         """Locate (parent_dir_fileid, entry_name) for an inode.
 
-        O(1) via the verified reverse index; a full inode scan only on
-        first sight of a fileid or after a rename/remove made the
-        cached location stale.
+        O(1) via the verified reverse index; on first sight of a fileid
+        or after a rename/remove made the cached location stale, the
+        filesystem's own parent index answers (it scans only for
+        hard-linked inodes).
         """
         if fileid == self.fs.root.fileid:
             return None
@@ -180,13 +181,10 @@ class AclStore:
             ):
                 return loc
             del self._locations[fileid]  # stale: fall through to rescan
-        for fid, node in self.fs._inodes.items():
-            if node.is_dir:
-                for name, child in node.entries.items():
-                    if child == fileid:
-                        self._locations[fileid] = (fid, name)
-                        return fid, name
-        return None
+        loc = self.fs._parent_entry(fileid)
+        if loc is not None:
+            self._locations[fileid] = loc
+        return loc
 
     def _read_acl_file(self, acl_fileid: int) -> List[AclEntry]:
         if self.cache_enabled:

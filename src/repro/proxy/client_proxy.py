@@ -49,7 +49,7 @@ from repro.sim.core import Event, Simulator
 from repro.sim.process import all_of, any_of
 from repro.sim.sync import Gate
 from repro.vfs.disk import DiskModel
-from repro.xdr import Packer
+from repro.xdr import XdrError
 
 #: NFS procedures that must not re-execute on a duplicate request.
 _NFS_NON_IDEMPOTENT = frozenset(int(p) for p in pr.NON_IDEMPOTENT_PROCS)
@@ -973,7 +973,7 @@ class SgfsClientProxy:
         reply = yield from self._forward_with_recovery(call)
         try:
             status, fresh = pr.unpack_getattr_res(reply.results)
-        except Exception:
+        except XdrError:
             return attr
         if status != NfsStatus.OK or fresh is None:
             self._attrs.pop(fh.fileid, None)
@@ -1004,7 +1004,7 @@ class SgfsClientProxy:
         yield from charge_profile(self.sim, cpu, self.cost, len(record), self.account)
         try:
             call = CallMessage.decode(record)
-        except Exception:
+        except (XdrError, RpcError):
             return
         key = None
         if call.prog == pr.NFS_PROGRAM and call.proc in _NFS_NON_IDEMPOTENT:
@@ -1110,7 +1110,7 @@ class SgfsClientProxy:
                     if merged is not None and merged is not got:
                         # dirty file: answer with the shadow view
                         reply.results = pr.pack_getattr_res(status, merged)
-            except Exception:
+            except XdrError:
                 pass
         return reply
 
@@ -1140,7 +1140,7 @@ class SgfsClientProxy:
                     reply.results = pr.pack_lookup_res(
                         status, fh, merged, self._attrs.get(dir_fh.fileid) or dir_attr
                     )
-        except Exception:
+        except XdrError:
             pass
         return reply
 
@@ -1170,7 +1170,7 @@ class SgfsClientProxy:
                     self._access[(fh.fileid, 0)] = granted
                 merged = self._attrs.get(fh.fileid) or attr
                 reply.results = pr.pack_access_res(status, merged, granted & want)
-        except Exception:
+        except XdrError:
             pass
         return reply
 
@@ -1303,7 +1303,7 @@ class SgfsClientProxy:
                     demanded_reply = reply
                 try:
                     status, rattr, data, eof = pr.unpack_read_res(reply.results)
-                except Exception:
+                except XdrError:
                     continue
                 if status != NfsStatus.OK:
                     if b == block:
@@ -1437,12 +1437,14 @@ class SgfsClientProxy:
                 list(zip([blk for _f, blk in kept], calls))
             )
             for reply in replies:
-                try:
-                    status, _after, nwritten, _cm, _v = pr.unpack_write_res(
-                        reply.results
-                    )
-                except Exception:
-                    status, nwritten = -1, 0
+                status, nwritten = -1, 0  # no reply, or an undecodable one
+                if reply is not None:
+                    try:
+                        status, _after, nwritten, _cm, _v = pr.unpack_write_res(
+                            reply.results
+                        )
+                    except XdrError:
+                        pass
                 if status == NfsStatus.OK:
                     self.stats["writeback_blocks"] += 1
                     self.stats["writeback_bytes"] += nwritten
@@ -1458,7 +1460,7 @@ class SgfsClientProxy:
                 status, after, _c, _cm, _v = pr.unpack_write_res(reply.results)
                 if status == NfsStatus.OK:
                     self._remember_attr(fh, after)
-            except Exception:
+            except XdrError:
                 pass
             return reply
         # Absorb at any offset: split the payload into block spans and
@@ -1529,7 +1531,7 @@ class SgfsClientProxy:
             status, after, _verf = pr.unpack_commit_res(reply.results)
             if status == NfsStatus.OK:
                 self._remember_attr(fh, after)
-        except Exception:
+        except XdrError:
             pass
         return reply
 
@@ -1542,7 +1544,7 @@ class SgfsClientProxy:
             status, after = pr.unpack_setattr_res(reply.results)
             if status == NfsStatus.OK:
                 self._remember_attr(fh, after)
-        except Exception:
+        except XdrError:
             pass
         return reply
 
@@ -1554,7 +1556,7 @@ class SgfsClientProxy:
                 self._remember_attr(fh, attr)
                 dir_fh, name = pr.unpack_diropargs_prefix(call.args)
                 self._lookups[(dir_fh.fileid, name)] = (fh, attr.fileid)
-        except Exception:
+        except XdrError:
             pass
         return reply
 
@@ -1595,7 +1597,7 @@ class SgfsClientProxy:
         reply = yield from self._forward_with_recovery(call)
         try:
             status, _after, count, _cm, _v = pr.unpack_write_res(reply.results)
-        except Exception:
+        except XdrError:
             status, count = -1, 0
         if status == NfsStatus.OK:
             self.stats["writeback_blocks"] += 1

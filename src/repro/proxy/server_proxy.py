@@ -39,6 +39,7 @@ from repro.rpc.client import RpcClient
 from repro.rpc.compound import COMPOUND_PROGRAM, pack_members, unpack_members
 from repro.rpc.costs import CostProfile, FREE_PROFILE, charge_profile
 from repro.rpc.drc import DuplicateRequestCache, REPLAY, WAIT, drc_key
+from repro.rpc.errors import RpcError
 from repro.rpc.messages import (
     AUTH_REJECTEDCRED,
     AUTH_TOOWEAK,
@@ -54,7 +55,8 @@ from repro.tls.channel import (
     server_handshake,
 )
 from repro.tls.config import SecurityConfig
-from repro.vfs.fs import VirtualFS
+from repro.vfs.fs import VfsError, VirtualFS
+from repro.xdr import Unpacker, XdrError
 
 #: NFS procedures that must not re-execute on a duplicate request.
 _NFS_NON_IDEMPOTENT = frozenset(int(p) for p in pr.NON_IDEMPOTENT_PROCS)
@@ -279,7 +281,7 @@ class SgfsServerProxy:
         yield from charge_profile(self.sim, cpu, self.cost, len(record), self.account)
         try:
             call = CallMessage.decode(record)
-        except Exception:
+        except (XdrError, RpcError):
             return  # garbage on the wire: drop
         if call.prog == COMPOUND_PROGRAM:
             yield from self._serve_compound(
@@ -342,7 +344,7 @@ class SgfsServerProxy:
         cpu = self.host.cpu
         try:
             members = unpack_members(env.args)
-        except Exception:
+        except (XdrError, ValueError):  # ValueError: over the member cap
             return  # garbage envelope: drop (the client retransmits)
         if self.obs.enabled:
             self.obs.counter("proxy.server", "compound_envelopes").inc()
@@ -351,7 +353,7 @@ class SgfsServerProxy:
         for record in members:
             try:
                 call = CallMessage.decode(record)
-            except Exception:
+            except (XdrError, RpcError):
                 out.append(b"")
                 continue
             if call.prog == COMPOUND_PROGRAM:
@@ -430,7 +432,7 @@ class SgfsServerProxy:
             return call
         try:
             auth = AuthSys.from_opaque(call.cred)
-        except Exception:
+        except XdrError:
             return call
         remapped = AuthSys(
             stamp=auth.stamp,
@@ -452,8 +454,6 @@ class SgfsServerProxy:
         }
         try:
             if proc in name_procs:
-                from repro.xdr import Unpacker
-
                 u = Unpacker(call.args)
                 _fh = FileHandle.unpack(u)
                 name = u.unpack_string(max_len=255)
@@ -466,7 +466,7 @@ class SgfsServerProxy:
                 f_dir, f_name, t_dir, t_name = pr.unpack_rename_args(call.args)
                 if is_acl_name(f_name) or is_acl_name(t_name):
                     return self._local_error(call, NfsStatus.ACCES)
-        except Exception:
+        except XdrError:
             return None  # undecodable: let the server reject it
         return None
 
@@ -482,7 +482,7 @@ class SgfsServerProxy:
         try:
             fh, want = pr.unpack_access_args(call.args)
             node = self.fs.inode(fh.fileid)
-        except Exception:
+        except (XdrError, VfsError):  # undecodable, or a stale handle
             return None
         bits = self.acls.evaluate(node.fileid, identity)
         if bits is None:
@@ -501,7 +501,7 @@ class SgfsServerProxy:
             return reply
         try:
             status, dir_attr, entries, eof = pr.unpack_readdir_res(reply.results, plus=plus)
-        except Exception:
+        except XdrError:
             return reply
         if status != NfsStatus.OK:
             return reply

@@ -10,6 +10,7 @@ certificate handshake of the secure transport.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import List
 
@@ -21,6 +22,14 @@ AUTH_SYS = 1  # a.k.a. AUTH_UNIX
 #: RFC 1831 limit on opaque auth bodies.
 MAX_AUTH_BODY = 400
 
+#: opaque_auth head: flavor, body length
+_AUTH_HEAD = struct.Struct(">iI")
+#: AUTH_SYS after the machine name: uid, gid, number of gids
+_SYS_IDS = struct.Struct(">III")
+#: AUTH_SYS decoders read at most this many supplementary gids
+MAX_GIDS = 16
+_GIDS = [struct.Struct(f">{n}I") for n in range(MAX_GIDS + 1)]
+
 
 @dataclass(frozen=True)
 class OpaqueAuth:
@@ -30,16 +39,18 @@ class OpaqueAuth:
     body: bytes = b""
 
     def pack(self, p: Packer) -> None:
-        if len(self.body) > MAX_AUTH_BODY:
-            raise XdrError(f"auth body {len(self.body)} exceeds {MAX_AUTH_BODY}")
-        p.pack_enum(self.flavor)
-        p.pack_opaque(self.body)
+        n = len(self.body)
+        if n > MAX_AUTH_BODY:
+            raise XdrError(f"auth body {n} exceeds {MAX_AUTH_BODY}")
+        p.pack_struct(_AUTH_HEAD, self.flavor, n)
+        p.pack_fopaque(n, self.body)
 
     @classmethod
     def unpack(cls, u: Unpacker) -> "OpaqueAuth":
-        flavor = u.unpack_enum()
-        body = u.unpack_opaque(max_len=MAX_AUTH_BODY)
-        return cls(flavor, body)
+        flavor, n = u.unpack_struct(_AUTH_HEAD)
+        if n > MAX_AUTH_BODY:
+            raise XdrError(f"opaque length {n} exceeds limit {MAX_AUTH_BODY}")
+        return cls(flavor, u.unpack_fopaque(n))
 
 
 NULL_AUTH = OpaqueAuth()
@@ -59,9 +70,10 @@ class AuthSys:
         p = Packer()
         p.pack_uint(self.stamp)
         p.pack_string(self.machinename)
-        p.pack_uint(self.uid)
-        p.pack_uint(self.gid)
-        p.pack_array(self.gids, p.pack_uint)
+        n = len(self.gids)
+        p.pack_struct(_SYS_IDS, self.uid, self.gid, n)
+        p.pack_struct(_GIDS[n] if n <= MAX_GIDS else struct.Struct(f">{n}I"),
+                      *self.gids)
         return OpaqueAuth(AUTH_SYS, p.get_bytes())
 
     @classmethod
@@ -71,9 +83,10 @@ class AuthSys:
         u = Unpacker(auth.body)
         stamp = u.unpack_uint()
         machinename = u.unpack_string(max_len=255)
-        uid = u.unpack_uint()
-        gid = u.unpack_uint()
-        gids = u.unpack_array(u.unpack_uint, max_len=16)
+        uid, gid, n = u.unpack_struct(_SYS_IDS)
+        if n > MAX_GIDS:
+            raise XdrError(f"array length {n} exceeds limit {MAX_GIDS}")
+        gids = list(u.unpack_struct(_GIDS[n]))
         u.assert_done()
         return cls(stamp, machinename, uid, gid, gids)
 

@@ -9,10 +9,11 @@ mapping.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NoReturn, Optional
 
-from repro.rpc.auth import OpaqueAuth, NULL_AUTH
+from repro.rpc.auth import AUTH_NONE, OpaqueAuth, NULL_AUTH
 from repro.rpc.errors import (
     RpcAuthError,
     RpcError,
@@ -22,7 +23,7 @@ from repro.rpc.errors import (
     RpcProgUnavail,
     RpcSystemError,
 )
-from repro.xdr import Packer, Unpacker, XdrError
+from repro.xdr import Packer, Unpacker, pack_fixed
 
 RPC_VERSION = 2
 
@@ -53,6 +54,35 @@ AUTH_REJECTEDCRED = 2
 AUTH_BADVERF = 3
 AUTH_TOOWEAK = 5
 
+#: CALL head: xid, msg_type, rpcvers, prog, vers, proc
+_CALL_HEAD = struct.Struct(">IiIIII")
+_CALL_PROGRAM = struct.Struct(">III")  # its last three words
+#: accepted SUCCESS reply with a null verifier: xid, msg_type,
+#: reply_stat, verifier flavor and length, accept_stat
+_SUCCESS_HEAD = struct.Struct(">IiiiIi")
+_SUCCESS_WORDS = (REPLY, MSG_ACCEPTED, AUTH_NONE, 0, SUCCESS)
+
+
+def _check_msg_type(mtype: int, want: int) -> None:
+    if mtype != want:
+        name = "CALL" if want == CALL else "REPLY"
+        raise RpcError(f"expected {name}, got msg_type={mtype}")
+
+
+def _check_rpcvers(rpcvers: int) -> None:
+    if rpcvers != RPC_VERSION:
+        raise RpcError(f"unsupported RPC version {rpcvers}")
+
+
+def _short_call_head(u: Unpacker) -> NoReturn:
+    """Reject a record too short for the CALL head on the first field
+    that is wrong or missing, as a field-by-field read does."""
+    u.unpack_uint()
+    _check_msg_type(u.unpack_enum(), CALL)
+    _check_rpcvers(u.unpack_uint())
+    u.unpack_struct(_CALL_PROGRAM)  # fewer than 12 bytes are left
+    raise AssertionError("unreachable: the CALL head was cut short")
+
 
 @dataclass
 class CallMessage:
@@ -66,30 +96,20 @@ class CallMessage:
 
     def encode(self) -> bytes:
         p = Packer()
-        p.pack_uint(self.xid)
-        p.pack_enum(CALL)
-        p.pack_uint(RPC_VERSION)
-        p.pack_uint(self.prog)
-        p.pack_uint(self.vers)
-        p.pack_uint(self.proc)
+        p.pack_struct(_CALL_HEAD, self.xid, CALL, RPC_VERSION, self.prog,
+                      self.vers, self.proc)
         self.cred.pack(p)
         self.verf.pack(p)
-        out = p.get_bytes() + self.args
-        return out
+        return p.get_bytes() + self.args
 
     @classmethod
     def decode(cls, record: bytes) -> "CallMessage":
         u = Unpacker(record)
-        xid = u.unpack_uint()
-        mtype = u.unpack_enum()
-        if mtype != CALL:
-            raise RpcError(f"expected CALL, got msg_type={mtype}")
-        rpcvers = u.unpack_uint()
-        if rpcvers != RPC_VERSION:
-            raise RpcError(f"unsupported RPC version {rpcvers}")
-        prog = u.unpack_uint()
-        vers = u.unpack_uint()
-        proc = u.unpack_uint()
+        if u.remaining() < _CALL_HEAD.size:
+            _short_call_head(u)
+        xid, mtype, rpcvers, prog, vers, proc = u.unpack_struct(_CALL_HEAD)
+        _check_msg_type(mtype, CALL)
+        _check_rpcvers(rpcvers)
         cred = OpaqueAuth.unpack(u)
         verf = OpaqueAuth.unpack(u)
         args = bytes(record[u.position :])
@@ -113,6 +133,10 @@ class ReplyMessage:
     results: bytes = b""
 
     def encode(self) -> bytes:
+        verf = self.verf
+        if (self.reply_stat == MSG_ACCEPTED and self.accept_stat == SUCCESS
+                and verf.flavor == AUTH_NONE and not verf.body):
+            return pack_fixed(_SUCCESS_HEAD, self.xid, *_SUCCESS_WORDS) + self.results
         p = Packer()
         p.pack_uint(self.xid)
         p.pack_enum(REPLY)
@@ -135,11 +159,13 @@ class ReplyMessage:
 
     @classmethod
     def decode(cls, record: bytes) -> "ReplyMessage":
+        if len(record) >= _SUCCESS_HEAD.size:
+            head = _SUCCESS_HEAD.unpack_from(record)
+            if head[1:] == _SUCCESS_WORDS:
+                return cls(head[0], results=bytes(record[_SUCCESS_HEAD.size :]))
         u = Unpacker(record)
         xid = u.unpack_uint()
-        mtype = u.unpack_enum()
-        if mtype != REPLY:
-            raise RpcError(f"expected REPLY, got msg_type={mtype}")
+        _check_msg_type(u.unpack_enum(), REPLY)
         reply_stat = u.unpack_enum()
         msg = cls(xid, reply_stat)
         if reply_stat == MSG_ACCEPTED:

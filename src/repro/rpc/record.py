@@ -28,8 +28,9 @@ def frame_record(record: bytes, fragment_size: int = DEFAULT_FRAGMENT_SIZE) -> b
     """Encode one record into its on-the-wire framed form."""
     if fragment_size < 1 or fragment_size > MAX_FRAGMENT:
         raise RpcError(f"bad fragment size {fragment_size}")
-    if len(record) == 0:
-        return _HDR.pack(LAST_FRAGMENT)
+    n = len(record)
+    if n <= fragment_size:  # one fragment (possibly empty): one copy
+        return _HDR.pack(LAST_FRAGMENT | n) + record
     parts: List[bytes] = []
     for off in range(0, len(record), fragment_size):
         chunk = record[off : off + fragment_size]
@@ -67,15 +68,34 @@ class RecordReader:
         self.max_record = max_record
 
     def feed(self, data: bytes) -> None:
-        self._buf.extend(data)
-        self._drain()
+        pos = 0
+        if not (self._buf or self._current or self._need is not None):
+            pos = self._pop_whole(data)
+        if pos < len(data):
+            self._buf.extend(memoryview(data)[pos:] if pos else data)
+            self._drain()
+
+    def _pop_whole(self, data: bytes) -> int:
+        """With nothing pending, pop the whole single-fragment records
+        at the front of ``data`` (one copy each, the common case: a
+        stream segment carries one record); returns the bytes used."""
+        pos, size = 0, len(data)
+        while size - pos >= 4:
+            hdr = _HDR.unpack_from(data, pos)[0]
+            n = hdr & MAX_FRAGMENT
+            end = pos + 4 + n
+            if not hdr & LAST_FRAGMENT or end > size or n > self.max_record:
+                break
+            self._records.append(bytes(data[pos + 4 : end]))
+            pos = end
+        return pos
 
     def _drain(self) -> None:
         while True:
             if self._need is None:
                 if len(self._buf) < 4:
                     return
-                hdr = _HDR.unpack(bytes(self._buf[:4]))[0]
+                hdr = _HDR.unpack_from(self._buf)[0]
                 del self._buf[:4]
                 self._last = bool(hdr & LAST_FRAGMENT)
                 self._need = hdr & MAX_FRAGMENT

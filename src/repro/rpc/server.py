@@ -45,6 +45,7 @@ from repro.rpc.transport import Transport
 from repro.sim.core import Simulator
 from repro.sim.cpu import CPU
 from repro.sim.sync import Channel, Semaphore
+from repro.xdr import XdrError
 
 
 class RpcProgram:
@@ -277,7 +278,7 @@ class RpcServer:
             yield from self.cpu.consume(self.cost.cost(len(record)), self.account)
         try:
             call = CallMessage.decode(record)
-        except Exception:
+        except (XdrError, RpcError):
             return  # undecodable header: drop, like a real server
         program = self._programs.get((call.prog, call.vers))
         key = None
@@ -344,8 +345,6 @@ class RpcServer:
         except ProcUnavailable:
             return error_reply(call.xid, PROC_UNAVAIL)
         except Exception as exc:
-            from repro.xdr import XdrError
-
             if isinstance(exc, XdrError):
                 return error_reply(call.xid, GARBAGE_ARGS)
             return error_reply(call.xid, SYSTEM_ERR)

@@ -153,6 +153,10 @@ class VirtualFS:
         #: running sum of every inode's used_bytes(), kept by each
         #: mutation below so space checks never walk the inode table
         self._used = root.used_bytes()
+        #: fileid -> (parent dir fileid, entry name) for every inode with
+        #: exactly one directory entry: directories (no hard links)
+        #: other than the root, and other inodes with nlink == 1
+        self._parents: Dict[int, Tuple[int, str]] = {}
         self.write_ops = 0
         self.read_ops = 0
 
@@ -224,12 +228,36 @@ class VirtualFS:
         return self.inode(child)
 
     def _find_parent(self, dir_id: int) -> int:
-        # Linear scan — fine at simulation scales; parents are only
-        # needed for ".." lookups, which the NFS clients rarely issue.
+        loc = self._parent_entry(dir_id)
+        return 1 if loc is None else loc[0]
+
+    def _parent_entry(self, fileid: int) -> Optional[Tuple[int, str]]:
+        """(parent dir fileid, entry name) naming ``fileid``, or None.
+
+        From the index when the inode has one name; a hard-linked inode
+        takes the first name in inode order, then entry order."""
+        loc = self._parents.get(fileid)
+        if loc is not None:
+            return loc
+        node = self._inodes.get(fileid)
+        if node is None or node.is_dir or node.nlink <= 1:
+            return None  # the root, or gone: no directory names it
+        return self._scan_parent(fileid)
+
+    def _scan_parent(self, fileid: int) -> Optional[Tuple[int, str]]:
         for fid, node in self._inodes.items():
-            if node.is_dir and dir_id in node.entries.values():
-                return fid
-        return 1
+            if node.is_dir:
+                for name, child in node.entries.items():
+                    if child == fileid:
+                        return fid, name
+        return None
+
+    def _unlinked(self, node: Inode) -> None:
+        """Index upkeep after one of ``node``'s names went away."""
+        if node.nlink <= 0:
+            self._drop_inode(node)
+        elif node.nlink == 1 and not node.is_dir:
+            self._parents[node.fileid] = self._scan_parent(node.fileid)
 
     def getattr(self, fileid: int) -> Inode:
         return self.inode(fileid)
@@ -303,6 +331,7 @@ class VirtualFS:
 
     def _drop_inode(self, node: Inode) -> None:
         del self._inodes[node.fileid]
+        self._parents.pop(node.fileid, None)
         self._used -= node.used_bytes()
 
     def create(
@@ -324,6 +353,7 @@ class VirtualFS:
         self._require(d, cred, 3)  # write + search
         node = self._new_inode(Ftype.REG, mode, cred)
         d.entries[name] = node.fileid
+        self._parents[node.fileid] = (dir_id, name)
         self._used += 32
         self._touch(d, m=True, c=True)
         self.write_ops += 1
@@ -339,6 +369,7 @@ class VirtualFS:
         node = self._new_inode(Ftype.DIR, mode, cred)
         node.nlink = 2
         d.entries[name] = node.fileid
+        self._parents[node.fileid] = (dir_id, name)
         self._used += 32
         d.nlink += 1
         self._touch(d, m=True, c=True)
@@ -356,6 +387,7 @@ class VirtualFS:
         node.symlink_target = target
         node.size = len(target)
         d.entries[name] = node.fileid
+        self._parents[node.fileid] = (dir_id, name)
         self._used += 32
         self._touch(d, m=True, c=True)
         self.write_ops += 1
@@ -380,6 +412,7 @@ class VirtualFS:
         d.entries[name] = node.fileid
         self._used += 32
         node.nlink += 1
+        self._parents.pop(node.fileid, None)  # two names now
         self._touch(node, c=True)
         self._touch(d, m=True, c=True)
         self.write_ops += 1
@@ -401,9 +434,8 @@ class VirtualFS:
         del d.entries[name]
         self._used -= 32
         child.nlink -= 1
-        if child.nlink <= 0:
-            self._drop_inode(child)
-        else:
+        self._unlinked(child)
+        if child.nlink > 0:
             self._touch(child, c=True)
         self._touch(d, m=True, c=True)
         self.write_ops += 1
@@ -461,10 +493,12 @@ class VirtualFS:
                 if moving.is_dir:
                     raise VfsError(Status.NOTDIR, to_name)
                 existing.nlink -= 1
-                if existing.nlink <= 0:
-                    self._drop_inode(existing)
         del src.entries[from_name]
         dst.entries[to_name] = moving_id
+        if moving_id in self._parents:
+            self._parents[moving_id] = (to_dir, to_name)
+        if existing_id is not None and not existing.is_dir:
+            self._unlinked(existing)
         if existing_id is not None:  # one name replaced another
             self._used -= 32
         if moving.is_dir and src is not dst:

@@ -6,6 +6,6 @@ alignment, big-endian integers, variable/fixed opaques, strings, arrays
 and optional data.
 """
 
-from repro.xdr.codec import Packer, Unpacker, XdrError
+from repro.xdr.codec import Packer, Unpacker, XdrError, pack_fixed
 
-__all__ = ["Packer", "Unpacker", "XdrError"]
+__all__ = ["Packer", "Unpacker", "XdrError", "pack_fixed"]

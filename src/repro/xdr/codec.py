@@ -5,6 +5,11 @@ implementation is strict on decode: short buffers, nonzero padding, and
 out-of-range discriminants raise :class:`XdrError` rather than being
 silently tolerated — the server-side proxy depends on malformed input
 being rejected cleanly.
+
+A run of fixed-size fields (an NFS ``fattr3``, an RPC header) is one
+precompiled :class:`struct.Struct`: :meth:`Packer.pack_struct` and
+:meth:`Unpacker.unpack_struct` move the whole layout in one call with
+the same range and bounds checks as the per-field methods.
 """
 
 from __future__ import annotations
@@ -26,9 +31,24 @@ _I64 = struct.Struct(">q")
 _F32 = struct.Struct(">f")
 _F64 = struct.Struct(">d")
 
+#: zero padding by the number of bytes needed
+_ZERO_PAD = (b"", b"\x00", b"\x00\x00", b"\x00\x00\x00")
+
 
 def _pad(n: int) -> int:
     return (4 - (n & 3)) & 3
+
+
+def _range_error(st: struct.Struct, exc: struct.error) -> XdrError:
+    return XdrError(f"{st.format} out of range: {exc}")
+
+
+def pack_fixed(st: struct.Struct, *values) -> bytes:
+    """Encode one fixed layout; an out-of-range field raises XdrError."""
+    try:
+        return st.pack(*values)
+    except struct.error as exc:
+        raise _range_error(st, exc) from None
 
 
 class Packer:
@@ -77,18 +97,34 @@ class Packer:
     def pack_double(self, v: float) -> None:
         self._parts.append(_F64.pack(v))
 
+    def pack_struct(self, st: struct.Struct, *values) -> None:
+        """A fixed layout in one call; an out-of-range field raises
+        XdrError."""
+        try:
+            self._parts.append(st.pack(*values))
+        except struct.error as exc:
+            raise _range_error(st, exc) from None
+
     # -- opaques and strings ----------------------------------------------
+
+    def _pack_body(self, data: bytes, n: int) -> None:
+        # bytes are immutable, so they join as they are; other buffers
+        # are frozen now so a later mutation cannot leak into the output
+        self._parts.append(data if type(data) is bytes else bytes(data))
+        if n & 3:
+            self._parts.append(_ZERO_PAD[_pad(n)])
 
     def pack_fopaque(self, n: int, data: bytes) -> None:
         """Fixed-length opaque: exactly n bytes plus padding."""
         if len(data) != n:
             raise XdrError(f"fixed opaque wants {n} bytes, got {len(data)}")
-        self._parts.append(bytes(data) + b"\x00" * _pad(n))
+        self._pack_body(data, n)
 
     def pack_opaque(self, data: bytes) -> None:
         """Variable-length opaque: length word, bytes, padding."""
-        self.pack_uint(len(data))
-        self._parts.append(bytes(data) + b"\x00" * _pad(len(data)))
+        n = len(data)
+        self.pack_uint(n)
+        self._pack_body(data, n)
 
     def pack_string(self, s: str) -> None:
         self.pack_opaque(s.encode("utf-8"))
@@ -118,73 +154,104 @@ class Packer:
 
 
 class Unpacker:
-    """Consumes XDR-encoded bytes."""
+    """Consumes XDR-encoded bytes.
+
+    Every read checks its bounds against the cached length before
+    ``unpack_from`` reads in place, so no read copies more than the
+    bytes it returns.
+    """
+
+    __slots__ = ("_data", "_pos", "_len")
 
     def __init__(self, data: bytes):
-        self._data = memoryview(bytes(data))
+        self._data = bytes(data)
         self._pos = 0
+        self._len = len(self._data)
 
     @property
     def position(self) -> int:
         return self._pos
 
     def remaining(self) -> int:
-        return len(self._data) - self._pos
+        return self._len - self._pos
 
     def done(self) -> bool:
-        return self._pos >= len(self._data)
+        return self._pos >= self._len
 
     def assert_done(self) -> None:
         if not self.done():
             raise XdrError(f"{self.remaining()} trailing bytes after decode")
 
-    def _take(self, n: int) -> memoryview:
-        if self._pos + n > len(self._data):
-            raise XdrError(
-                f"buffer underrun: need {n} bytes at offset {self._pos}, "
-                f"have {len(self._data) - self._pos}"
-            )
-        out = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return out
+    def _underrun(self, n: int) -> XdrError:
+        return XdrError(
+            f"buffer underrun: need {n} bytes at offset {self._pos}, "
+            f"have {self._len - self._pos}"
+        )
+
+    def unpack_struct(self, st: struct.Struct) -> tuple:
+        """A fixed layout in one call: the tuple of its fields."""
+        pos = self._pos
+        end = pos + st.size
+        if end > self._len:
+            raise self._underrun(st.size)
+        self._pos = end
+        return st.unpack_from(self._data, pos)
 
     # -- integers --------------------------------------------------------
 
     def unpack_uint(self) -> int:
-        return _U32.unpack(self._take(4))[0]
+        pos = self._pos
+        if pos + 4 > self._len:
+            raise self._underrun(4)
+        self._pos = pos + 4
+        return _U32.unpack_from(self._data, pos)[0]
 
     def unpack_int(self) -> int:
-        return _I32.unpack(self._take(4))[0]
+        pos = self._pos
+        if pos + 4 > self._len:
+            raise self._underrun(4)
+        self._pos = pos + 4
+        return _I32.unpack_from(self._data, pos)[0]
 
     def unpack_uhyper(self) -> int:
-        return _U64.unpack(self._take(8))[0]
+        return self.unpack_struct(_U64)[0]
 
     def unpack_hyper(self) -> int:
-        return _I64.unpack(self._take(8))[0]
+        return self.unpack_struct(_I64)[0]
 
     def unpack_bool(self) -> bool:
         v = self.unpack_uint()
         if v not in (0, 1):
             raise XdrError(f"bool must be 0 or 1, got {v}")
-        return bool(v)
+        return v == 1
 
     def unpack_enum(self) -> int:
         return self.unpack_int()
 
     def unpack_float(self) -> float:
-        return _F32.unpack(self._take(4))[0]
+        return self.unpack_struct(_F32)[0]
 
     def unpack_double(self) -> float:
-        return _F64.unpack(self._take(8))[0]
+        return self.unpack_struct(_F64)[0]
 
     # -- opaques and strings -----------------------------------------------
 
     def unpack_fopaque(self, n: int) -> bytes:
-        data = bytes(self._take(n))
-        pad = bytes(self._take(_pad(n)))
-        if pad.strip(b"\x00"):
-            raise XdrError("nonzero padding bytes")
-        return data
+        pos = self._pos
+        end = pos + n
+        if end > self._len:
+            raise self._underrun(n)
+        pad = _pad(n)
+        if pad:
+            self._pos = end
+            if end + pad > self._len:
+                raise self._underrun(pad)
+            self._pos = end + pad
+            if self._data[end : end + pad] != _ZERO_PAD[pad]:
+                raise XdrError("nonzero padding bytes")
+        else:
+            self._pos = end
+        return self._data[pos:end]
 
     def unpack_opaque(self, max_len: Optional[int] = None) -> bytes:
         n = self.unpack_uint()

@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto import AES, RC4, PaddingError, hmac_sha1, hmac_sha256, pkcs7_pad, pkcs7_unpad
 from repro.crypto.hmac import constant_time_equal, hmac_digest
+from repro.crypto.suites import FastXorState
+from tests._legacy_codecs import old_xor
 
 
 # -- AES (FIPS-197 appendix C vectors) ------------------------------------------
@@ -179,3 +181,36 @@ def test_pkcs7_roundtrip_property(data, block):
     assert len(padded) % block == 0
     assert len(padded) > len(data)
     assert pkcs7_unpad(padded, block) == data
+
+
+
+# -- FastXorState: pad slices against the tiled keystream --------------------------
+
+PAD = FastXorState.PAD_LEN
+
+
+def _payload(n: int) -> bytes:
+    return (bytes(range(251)) * (n // 251 + 1))[:n]
+
+
+@pytest.mark.parametrize("off", [0, 1, PAD - 7, PAD - 1, PAD, PAD + 1, 3 * PAD - 2])
+@pytest.mark.parametrize("n", [0, 1, 7, PAD - 1, PAD, PAD + 1, 2 * PAD + 3])
+def test_fast_xor_matches_tiled_keystream_around_the_wrap(off, n):
+    state = FastXorState(b"k" * 32, b"iv")
+    data = _payload(n)
+    assert state._xor(data, off) == old_xor(state._pad, data, off)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.integers(min_value=0, max_value=3 * PAD), max_size=6),
+       st.binary(min_size=1, max_size=16))
+def test_fast_xor_stream_matches_tiled_keystream(sizes, key):
+    enc = FastXorState(key, b"iv")
+    dec = FastXorState(key, b"iv")
+    off = 0
+    for n in sizes:
+        data = _payload(n)
+        sealed = enc.encrypt(data)
+        expected, off = old_xor(enc._pad, data, off)
+        assert sealed == expected
+        assert dec.decrypt(sealed) == data

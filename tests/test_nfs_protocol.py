@@ -1,11 +1,24 @@
 """NFSv3 wire codecs: roundtrips for every procedure's args/results."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.nfs import protocol as pr
 from repro.nfs.protocol import Fattr3, FileHandle, NfsStatus, Sattr3
-from repro.xdr import XdrError
+from repro.xdr import Packer, Unpacker, XdrError
+from tests._legacy_codecs import (
+    OldPacker,
+    OldUnpacker,
+    old_pack_fattr3,
+    old_pack_fh,
+    old_pack_post_op_attr,
+    old_pack_wcc_data,
+    old_unpack_fattr3,
+    old_unpack_fh,
+    old_unpack_post_op_attr,
+    old_unpack_wcc_data,
+    outcome,
+)
 
 FH = FileHandle(fsid=1, fileid=42, generation=7)
 DIR_FH = FileHandle(fsid=1, fileid=1, generation=1)
@@ -202,3 +215,160 @@ def test_property_write_args_roundtrip(payload, offset):
 def test_property_diropargs_roundtrip(name):
     dir_fh, out = pr.unpack_lookup_args(pr.pack_lookup_args(DIR_FH, name))
     assert out == name
+
+
+
+# -- compiled layouts against the field-by-field codecs ----------------------------
+#
+# Fattr3, post_op_attr, wcc_data and the wire file handle are one struct
+# each; tests/_legacy_codecs.py keeps the per-field codecs they replaced.
+
+U32 = st.integers(min_value=0, max_value=2**32 - 1)
+U64 = st.integers(min_value=0, max_value=2**64 - 1)
+times = st.one_of(
+    st.floats(min_value=0, max_value=2**33, allow_nan=False),
+    st.builds(lambda s, ns: s + ns / 1e9, U32, st.integers(0, 999_999_999)),
+)
+attrs = st.builds(
+    Fattr3,
+    ftype=st.integers(min_value=-(2**31), max_value=2**31 - 1),
+    mode=U32, nlink=U32, uid=U32, gid=U32, size=U64, used=U64,
+    fsid=U64, fileid=U64, atime=times, mtime=times, ctime=times,
+)
+handles = st.builds(FileHandle, fsid=U32, fileid=U64, generation=U32)
+
+
+def encode(pack, packer, *args):
+    pack(packer, *args)
+    return packer.get_bytes()
+
+
+def new_pack_fh(p, fh):
+    fh.pack(p)
+
+
+def new_pack_fattr3(p, a):
+    a.pack(p)
+
+
+def decode_new(data):
+    u = Unpacker(data)
+    out = (FileHandle.unpack(u), pr.unpack_post_op_attr(u), pr.unpack_wcc_data(u))
+    u.assert_done()
+    return out
+
+
+def decode_old(data):
+    u = OldUnpacker(data)
+    out = (old_unpack_fh(u), old_unpack_post_op_attr(u), old_unpack_wcc_data(u))
+    u.assert_done()
+    return out
+
+
+@given(attrs, st.none() | attrs, handles)
+def test_compiled_layouts_encode_and_decode_as_before(attr, maybe, fh):
+    assert encode(new_pack_fattr3, Packer(), attr) == encode(old_pack_fattr3, OldPacker(), attr)
+    assert Fattr3.unpack(Unpacker(encode(old_pack_fattr3, OldPacker(), attr))) == \
+        old_unpack_fattr3(OldUnpacker(encode(old_pack_fattr3, OldPacker(), attr)))
+    for new, old in ((pr.pack_post_op_attr, old_pack_post_op_attr),
+                     (pr.pack_wcc_data, old_pack_wcc_data)):
+        assert encode(new, Packer(), maybe) == encode(old, OldPacker(), maybe)
+    assert encode(new_pack_fh, Packer(), fh) == encode(old_pack_fh, OldPacker(), fh)
+    p = OldPacker()
+    old_pack_fh(p, fh)
+    old_pack_post_op_attr(p, attr)
+    old_pack_wcc_data(p, maybe)
+    data = p.get_bytes()
+    # times go through (seconds mod 2**32, nanoseconds): compare the two
+    # decoders, not the float that went in
+    assert decode_new(data) == decode_old(data)
+    assert decode_new(data)[0] == fh
+
+
+@settings(max_examples=25, deadline=None)
+@given(attrs, st.none() | attrs, handles)
+def test_compiled_layouts_reject_what_the_old_decoders_reject(attr, maybe, fh):
+    p = OldPacker()
+    old_pack_fh(p, fh)
+    old_pack_post_op_attr(p, maybe)
+    old_pack_wcc_data(p, attr)
+    data = p.get_bytes()
+    for cut in range(len(data)):
+        assert outcome(decode_new, data[:cut]) == outcome(decode_old, data[:cut])
+    # every byte: length word, bools (2 is not a bool), fields
+    for pos in range(len(data)):
+        for byte in (0x00, 0x01, 0x02, 0x10, 0xFF):
+            bad = data[:pos] + bytes([byte]) + data[pos + 1:]
+            assert outcome(decode_new, bad) == outcome(decode_old, bad), (pos, byte)
+
+
+@given(st.booleans(), U64, times, times, st.none() | attrs)
+def test_wcc_data_with_pre_op_attrs_decodes_as_before(pre, size, mtime, ctime, after):
+    p = OldPacker()
+    p.pack_bool(pre)
+    if pre:
+        p.pack_uhyper(size)
+        for t in (mtime, ctime):
+            sec = int(t)
+            p.pack_uint(sec & 0xFFFFFFFF)
+            p.pack_uint(min(int(round((t - sec) * 1e9)), 999_999_999))
+    old_pack_post_op_attr(p, after)
+    data = p.get_bytes()
+    assert pr.unpack_wcc_data(Unpacker(data)) == old_unpack_wcc_data(OldUnpacker(data))
+
+
+@given(
+    st.integers(min_value=0, max_value=80) | st.just(16),
+    st.binary(min_size=80, max_size=80),
+    st.integers(min_value=0, max_value=4),
+)
+def test_filehandle_of_any_length_decodes_as_before(n, body, cut):
+    """Any length but 16 raises XdrError at once, as the opaque limit
+    (over 64) or the handle size (the rest) rejected it before."""
+    p = OldPacker()
+    p.pack_uint(n)
+    raw = p.get_bytes() + body[:n] + b"\x00" * (-n & 3)
+    data = raw[:len(raw) - cut]
+
+    def new(d):
+        return FileHandle.unpack(Unpacker(d))
+
+    def old(d):
+        return old_unpack_fh(OldUnpacker(d))
+
+    assert outcome(new, data) == outcome(old, data)
+    if n != 16:
+        assert outcome(new, data)[0] == "raised"
+
+
+@given(handles)
+def test_post_op_fh_encodes_as_before(fh):
+    for value in (None, fh):
+        p = Packer()
+        pr._pack_post_op_fh(p, value)
+        old = OldPacker()
+        old.pack_optional(value, lambda f: old_pack_fh(old, f))
+        assert p.get_bytes() == old.get_bytes()
+        assert pr._unpack_post_op_fh(Unpacker(p.get_bytes())) == value
+
+
+@pytest.mark.parametrize("field,value", [
+    ("mode", -1), ("uid", 2**32), ("size", 2**64), ("fileid", -1),
+    ("ftype", 2**31), ("atime", -0.5),
+])
+def test_fattr3_out_of_range_raises_xdr_error(field, value):
+    bad = Fattr3(**{**ATTR.__dict__, field: value})
+    for pack in (lambda p: bad.pack(p), lambda p: pr.pack_post_op_attr(p, bad),
+                 lambda p: pr.pack_wcc_data(p, bad)):
+        with pytest.raises(XdrError):
+            pack(Packer())
+    with pytest.raises(XdrError):
+        old_pack_fattr3(OldPacker(), bad)
+
+
+@pytest.mark.parametrize("fh", [
+    FileHandle(2**32, 1, 1), FileHandle(1, 2**64, 1), FileHandle(1, 1, -1),
+])
+def test_filehandle_out_of_range_raises_xdr_error(fh):
+    with pytest.raises(XdrError):
+        fh.pack(Packer())

@@ -195,3 +195,26 @@ def test_invalidate_always_bumps_epoch(store):
     assert acls.epoch == e0 + 3
     acls.remove_acl(d.fileid, "data.txt")
     assert acls.epoch == e0 + 4
+
+
+def test_inheritance_lookup_uses_the_parent_index():
+    """A singly-named inode is located from the filesystem's parent
+    index, never by scanning; a hard-linked one takes the first link in
+    inode order, then entry order, as the scan always did."""
+    fs = VirtualFS()
+    a = fs.mkdir(1, "a", ROOT)
+    b = fs.mkdir(1, "b", ROOT)
+    f = fs.create(b.fileid, "f", ROOT)
+    store = AclStore(fs)
+    scans = []
+    real_scan = fs._scan_parent
+    fs._scan_parent = lambda fid: scans.append(fid) or real_scan(fid)
+    assert store._parent_and_name(f.fileid) == (b.fileid, "f")
+    assert store._parent_and_name(b.fileid) == (1, "b")
+    assert store._parent_and_name(fs.root.fileid) is None
+    assert scans == []
+    fs.link(f.fileid, a.fileid, "g", ROOT)  # a precedes b in inode order
+    store._locations.clear()
+    assert store._parent_and_name(f.fileid) == (a.fileid, "g")
+    fs.remove(a.fileid, "g", ROOT)  # back to one name
+    assert store._parent_and_name(f.fileid) == (b.fileid, "f")

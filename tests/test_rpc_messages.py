@@ -1,7 +1,7 @@
 """RPC CALL/REPLY message codecs and error mapping."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.rpc import CallMessage, ReplyMessage, MSG_DENIED, SUCCESS
 from repro.rpc.auth import AUTH_SYS, AuthSys, OpaqueAuth, MAX_AUTH_BODY
@@ -25,7 +25,21 @@ from repro.rpc.messages import (
     error_reply,
     success_reply,
 )
+from repro.rpc.messages import (
+    AUTH_ERROR,
+    MSG_ACCEPTED,
+    RPC_MISMATCH,
+)
 from repro.xdr import XdrError
+from tests._legacy_codecs import (
+    old_authsys_from_opaque,
+    old_authsys_to_opaque,
+    old_call_decode,
+    old_call_encode,
+    old_reply_decode,
+    old_reply_encode,
+    outcome,
+)
 
 
 def test_call_roundtrip():
@@ -139,3 +153,140 @@ def test_property_call_roundtrip(xid, prog, proc, args):
 def test_property_reply_roundtrip(xid, results):
     decoded = ReplyMessage.decode(success_reply(xid, results).encode())
     assert (decoded.xid, decoded.results) == (xid, results)
+
+
+
+# -- compiled headers against the field-by-field codecs -----------------------------
+#
+# The CALL head and the accepted-SUCCESS reply with a null verifier are
+# one struct each, and opaque_auth / AUTH_SYS decode with structs;
+# tests/_legacy_codecs.py keeps the per-field codecs they replaced.
+
+U32 = st.integers(min_value=0, max_value=2**32 - 1)
+I32 = st.integers(min_value=-(2**31), max_value=2**31 - 1)
+authsys = st.builds(
+    AuthSys, stamp=U32, machinename=st.text(max_size=20), uid=U32, gid=U32,
+    gids=st.lists(U32, max_size=16),
+)
+auths = st.one_of(
+    st.just(OpaqueAuth()),
+    authsys.map(lambda a: a.to_opaque()),
+    st.builds(OpaqueAuth, flavor=I32, body=st.binary(max_size=40)),
+)
+calls = st.builds(
+    CallMessage, xid=U32, prog=U32, vers=U32, proc=U32, cred=auths,
+    verf=auths, args=st.binary(max_size=40),
+)
+#: every reply_stat / accept_stat / reject_stat variant
+replies = st.one_of(
+    st.builds(ReplyMessage, xid=U32, verf=auths, results=st.binary(max_size=40)),
+    st.builds(
+        ReplyMessage, xid=U32, reply_stat=st.just(MSG_ACCEPTED),
+        accept_stat=st.sampled_from(
+            [SUCCESS, PROG_UNAVAIL, PROG_MISMATCH, PROC_UNAVAIL, GARBAGE_ARGS,
+             SYSTEM_ERR, 99]),
+        verf=auths, mismatch_low=U32, mismatch_high=U32,
+        results=st.binary(max_size=20),
+    ),
+    st.builds(
+        ReplyMessage, xid=U32, reply_stat=st.just(MSG_DENIED),
+        reject_stat=st.sampled_from([RPC_MISMATCH, AUTH_ERROR]),
+        auth_stat=I32, mismatch_low=U32, mismatch_high=U32,
+    ),
+)
+
+
+def mutations(data):
+    """Every truncation, then every byte set to a few telling values
+    (0 and 1 for msg_type, 3 for rpcvers, nonzero padding, huge lengths)."""
+    for cut in range(len(data)):
+        yield data[:cut]
+    for pos in range(len(data)):
+        for byte in (0x00, 0x01, 0x03, 0x80, 0xFF):
+            yield data[:pos] + bytes([byte]) + data[pos + 1:]
+
+
+@given(calls)
+def test_call_encodes_and_decodes_as_before(call):
+    data = call.encode()
+    assert data == old_call_encode(call)
+    assert CallMessage.decode(data) == old_call_decode(data) == call
+
+
+@given(replies)
+def test_reply_encodes_and_decodes_as_before(reply):
+    data = reply.encode()
+    assert data == old_reply_encode(reply)
+    assert ReplyMessage.decode(data) == old_reply_decode(data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(calls)
+def test_call_decode_rejects_what_the_old_decoder_rejects(call):
+    for bad in mutations(call.encode()):
+        assert outcome(CallMessage.decode, bad) == outcome(old_call_decode, bad), bad
+
+
+@settings(max_examples=40, deadline=None)
+@given(replies)
+def test_reply_decode_rejects_what_the_old_decoder_rejects(reply):
+    for bad in mutations(reply.encode()):
+        assert outcome(ReplyMessage.decode, bad) == outcome(old_reply_decode, bad), bad
+
+
+@pytest.mark.parametrize("record", [
+    b"", b"\x00\x00\x00\x01", b"\x00\x00\x00\x01\x00\x00\x00\x01",
+    b"\x00\x00\x00\x01\x00\x00\x00\x00",
+    b"\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x03",
+    b"\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00",
+    b"\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x02" + b"\x00" * 11,
+])
+def test_short_call_heads_fail_on_the_first_bad_field(record):
+    assert outcome(CallMessage.decode, record) == outcome(old_call_decode, record)
+
+
+@given(authsys)
+def test_auth_sys_encodes_and_decodes_as_before(auth):
+    opaque = auth.to_opaque()
+    assert opaque == old_authsys_to_opaque(auth)
+    assert AuthSys.from_opaque(opaque) == old_authsys_from_opaque(opaque) == auth
+
+
+@settings(max_examples=40, deadline=None)
+@given(authsys)
+def test_auth_sys_decode_rejects_what_the_old_decoder_rejects(auth):
+    body = auth.to_opaque().body
+    for bad in mutations(body):
+        cred = OpaqueAuth(AUTH_SYS, bad)
+        assert outcome(AuthSys.from_opaque, cred) == outcome(old_authsys_from_opaque, cred)
+
+
+def test_auth_sys_with_more_than_16_gids_encodes_as_before_but_is_rejected():
+    auth = AuthSys(uid=1, gid=2, gids=list(range(17)))
+    opaque = auth.to_opaque()
+    assert opaque == old_authsys_to_opaque(auth)
+    with pytest.raises(XdrError):
+        AuthSys.from_opaque(opaque)
+    with pytest.raises(XdrError):
+        old_authsys_from_opaque(opaque)
+
+
+@pytest.mark.parametrize("message", [
+    CallMessage(2**32, 1, 1, 1),
+    CallMessage(1, -1, 1, 1),
+    CallMessage(1, 1, 1, 1, cred=OpaqueAuth(2**31, b"")),
+    ReplyMessage(2**32),
+    ReplyMessage(-1, results=b"x"),
+    ReplyMessage(1, accept_stat=PROG_MISMATCH, mismatch_low=-1),
+])
+def test_out_of_range_headers_raise_xdr_error(message):
+    with pytest.raises(XdrError):
+        message.encode()
+
+
+@pytest.mark.parametrize("auth", [
+    AuthSys(uid=-1), AuthSys(gid=2**32), AuthSys(gids=[2**32]), AuthSys(stamp=-1),
+])
+def test_out_of_range_auth_sys_raises_xdr_error(auth):
+    with pytest.raises(XdrError):
+        auth.to_opaque()

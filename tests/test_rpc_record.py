@@ -12,6 +12,7 @@ from repro.rpc.record import (
     RecordWriter,
     frame_record,
 )
+from tests._legacy_codecs import OldRecordReader, old_frame_record
 
 
 def test_single_fragment_framing():
@@ -107,3 +108,83 @@ def test_property_stream_reassembly(records, fragment_size, chunk_size):
                 break
             out.append(rec)
     assert out == records
+
+
+
+# -- against the extend/del/bytes() reassembler ------------------------------------
+#
+# A single-fragment record is framed with one concatenation, and whole
+# single-fragment records at the front of a fed chunk are popped with
+# one copy; tests/_legacy_codecs.py keeps the versions they replaced.
+
+
+def split(stream, cuts):
+    """``stream`` in chunks ending at the sorted cut points."""
+    edges = [0] + sorted(c % (len(stream) + 1) for c in cuts) + [len(stream)]
+    return [stream[a:b] for a, b in zip(edges, edges[1:])]
+
+
+def reassemble(reader, chunks):
+    """Feed every chunk, popping as it goes: the records in order, or
+    the class of what feeding raised and the records before it."""
+    out = []
+    for chunk in chunks:
+        try:
+            reader.feed(chunk)
+        except Exception as exc:  # compared across both readers
+            return out, type(exc)
+        while (rec := reader.next_record()) is not None:
+            out.append(rec)
+    return out, None
+
+
+@given(
+    st.lists(st.binary(max_size=300), max_size=8),
+    st.integers(min_value=1, max_value=400),
+)
+def test_framing_matches_old(records, fragment_size):
+    for rec in records:
+        assert frame_record(rec, fragment_size) == old_frame_record(rec, fragment_size)
+        assert frame_record(bytearray(rec), fragment_size) == old_frame_record(rec, fragment_size)
+
+
+@given(
+    st.lists(st.binary(max_size=300), max_size=8),
+    st.lists(st.integers(min_value=1, max_value=64) | st.just(1 << 20), min_size=1),
+    st.lists(st.integers(min_value=0, max_value=5000), max_size=12),
+    st.sampled_from([1 << 28, 300, 150]),
+)
+def test_reader_matches_old_for_any_chunking(records, sizes, cuts, max_record):
+    """Single- and multi-fragment records (one fragment size each), any
+    chunk boundaries, and records over ``max_record``."""
+    stream = b"".join(
+        frame_record(r, sizes[i % len(sizes)]) for i, r in enumerate(records)
+    )
+    chunks = split(stream, cuts)
+    new = reassemble(RecordReader(max_record), chunks)
+    assert new == reassemble(OldRecordReader(max_record), chunks)
+    if max_record == 1 << 28:
+        assert new == (records, None)
+
+
+@given(st.binary(max_size=64), st.lists(st.integers(0, 80), max_size=4))
+def test_reader_matches_old_on_garbage(stream, cuts):
+    chunks = split(stream, cuts)
+    assert (reassemble(RecordReader(max_record=40), chunks)
+            == reassemble(OldRecordReader(max_record=40), chunks))
+
+
+def test_whole_records_in_one_chunk_are_bytes():
+    reader = RecordReader()
+    reader.feed(bytearray(frame_record(b"abc") + frame_record(b"de")))
+    recs = [reader.next_record(), reader.next_record()]
+    assert recs == [b"abc", b"de"]
+    assert all(type(r) is bytes for r in recs)
+
+
+def test_feed_after_a_partial_record_keeps_order():
+    a, b = frame_record(b"first"), frame_record(b"second")
+    reader = RecordReader()
+    reader.feed(a[:3])
+    reader.feed(a[3:] + b)
+    assert [reader.next_record(), reader.next_record()] == [b"first", b"second"]

@@ -7,11 +7,44 @@ listings) after every step.
 """
 
 import hypothesis.strategies as st
+from hypothesis import given, settings
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.vfs import Credentials, VfsError, VirtualFS
 
 CRED = Credentials(1000, 1000)
+
+
+def scanned_names(fs):
+    """fileid -> every (parent, name) naming it, by a full scan in inode
+    order, then entry order (what the parent lookups did before they
+    were indexed)."""
+    out = {}
+    for fid, node in fs._inodes.items():
+        if node.is_dir:
+            for name, child in node.entries.items():
+                out.setdefault(child, []).append((fid, name))
+    return out
+
+
+def assert_parent_index(fs):
+    """The parent index equals a fresh scan, and every parent lookup
+    picks the link the scan picks."""
+    names = scanned_names(fs)
+    single = {
+        fid: locs[0] for fid, locs in names.items()
+        if fs._inodes[fid].is_dir or fs._inodes[fid].nlink == 1
+    }
+    assert fs._parents == single
+    for fid, node in fs._inodes.items():
+        first = names.get(fid, [None])[0]
+        assert fs._parent_entry(fid) == first, fid
+        if not node.is_dir:
+            assert node.nlink == len(names.get(fid, [])), fid
+        elif fid != 1:
+            assert len(names[fid]) == 1
+            assert fs._find_parent(fid) == first[0]
+    assert fs._find_parent(1) == 1
 
 names = st.sampled_from([f"f{i}" for i in range(6)] + [f"d{i}" for i in range(3)])
 payloads = st.binary(min_size=0, max_size=200)
@@ -176,8 +209,61 @@ class VfsModel(RuleBasedStateMachine):
             n.used_bytes() for n in self.fs._inodes.values()
         )
 
+    @invariant()
+    def parent_index_matches_scan(self):
+        assert_parent_index(self.fs)
+
 
 TestVfsStateful = VfsModel.TestCase
 TestVfsStateful.settings = __import__("hypothesis").settings(
     max_examples=40, stateful_step_count=30, deadline=None
 )
+
+
+# -- parent index across nested directories ------------------------------------
+
+OPS = ("create", "mkdir", "symlink", "link", "remove", "rmdir", "rename")
+tree_ops = st.lists(
+    st.tuples(
+        st.sampled_from(OPS),
+        st.integers(min_value=0, max_value=7),  # a directory, by position
+        st.sampled_from(["a", "b", "c"]),
+        st.integers(min_value=0, max_value=7),  # a second directory
+        st.sampled_from(["a", "b", "c"]),
+        st.integers(min_value=0, max_value=15),  # an inode, by position
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree_ops)
+def test_parent_index_matches_scan_in_nested_trees(ops):
+    """Hard links and renames across subdirectories keep the index equal
+    to a scan after every operation, failed ones included."""
+    fs = VirtualFS(root_uid=1000, root_gid=1000)
+    for op, d1, n1, d2, n2, pick in ops:
+        dirs = [fid for fid, node in fs._inodes.items() if node.is_dir]
+        fids = list(fs._inodes)
+        a, b = dirs[d1 % len(dirs)], dirs[d2 % len(dirs)]
+        try:
+            if op == "create":
+                fs.create(a, n1, CRED)
+            elif op == "mkdir":
+                fs.mkdir(a, n1, CRED)
+            elif op == "symlink":
+                fs.symlink(a, n1, "t", CRED)
+            elif op == "link":
+                fs.link(fids[pick % len(fids)], a, n1, CRED)
+            elif op == "remove":
+                fs.remove(a, n1, CRED)
+            elif op == "rmdir":
+                fs.rmdir(a, n1, CRED)
+            else:
+                fs.rename(a, n1, b, n2, CRED)
+        except VfsError:
+            pass
+        assert_parent_index(fs)
+        for fid in dirs:
+            if fid in fs._inodes:
+                fs.readdir(fid, CRED)  # ".." comes from the index
